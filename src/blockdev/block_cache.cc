@@ -46,6 +46,10 @@ BlockCache::BlockCache(std::shared_ptr<BlockDevice> base,
 }
 
 BlockCache::~BlockCache() {
+  // Readahead fills may still be queued; they touch shards_ and base_.
+  if (io_pool_ != nullptr) {
+    io_pool_->Shutdown();
+  }
   (void)Sync();
   if (flusher_.joinable()) {
     {
@@ -57,67 +61,144 @@ BlockCache::~BlockCache() {
   }
 }
 
+WorkerPool* BlockCache::IoPool() {
+  std::call_once(io_pool_once_, [this] {
+    io_pool_ = std::make_unique<WorkerPool>(kIoThreads);
+  });
+  return io_pool_.get();
+}
+
 void BlockCache::TouchLocked(Shard& shard, uint64_t block, Entry& entry) {
   shard.lru.erase(entry.lru_it);
   shard.lru.push_front(block);
   entry.lru_it = shard.lru.begin();
 }
 
-Status BlockCache::WritebackLocked(uint64_t block, Entry& entry) {
-  Status st = base_->Write(block, entry.data.data());
+void BlockCache::MarkDirtyLocked(Entry& entry) {
+  entry.version++;
+  if (!entry.dirty) {
+    entry.dirty = true;
+    dirty_count_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void BlockCache::EraseLocked(Shard& shard, uint64_t block) {
+  auto it = shard.map.find(block);
+  shard.lru.erase(it->second.lru_it);
+  shard.map.erase(it);
+}
+
+BlockCache::Entry* BlockCache::LruIdleLocked(Shard& shard, uint64_t* block,
+                                             bool clean_only) {
+  for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
+    Entry& entry = shard.map.find(*it)->second;
+    if (!entry.busy() && !(clean_only && entry.dirty)) {
+      *block = *it;
+      return &entry;
+    }
+  }
+  return nullptr;
+}
+
+Status BlockCache::WritebackLocked(Shard& shard, Lock& lock, uint64_t block,
+                                   Entry& entry) {
+  // The entry cannot be evicted or dropped while `writing` is set, and a
+  // Write/Modify meanwhile only changes `data` and bumps the version.
+  entry.writing = true;
+  std::vector<uint8_t> snapshot = entry.data;
+  const uint64_t version = entry.version;
+  lock.unlock();
+  Status st = base_->Write(block, snapshot.data());
+  lock.lock();
+  entry.writing = false;
+  shard.cv.notify_all();
   if (!st.ok()) {
     return st;
   }
-  entry.dirty = false;
-  dirty_count_.fetch_sub(1, std::memory_order_relaxed);
   cache_stats_.writebacks.fetch_add(1, std::memory_order_relaxed);
+  if (entry.version == version) {
+    entry.dirty = false;
+    dirty_count_.fetch_sub(1, std::memory_order_relaxed);
+  }
   return OkStatus();
 }
 
-Status BlockCache::EvictIfFullLocked(Shard& shard) {
+BlockCache::Entry* BlockCache::InsertLocked(Shard& shard, uint64_t block,
+                                            bool allow_overflow) {
   while (shard.map.size() >= shard_capacity_) {
-    uint64_t victim = shard.lru.back();
-    auto it = shard.map.find(victim);
-    if (it->second.dirty) {
-      Status st = WritebackLocked(victim, it->second);
-      if (!st.ok()) {
-        return st;
-      }
+    uint64_t victim = 0;
+    // Demand inserts keep strict LRU (a dirty victim is left for
+    // TrimLocked to write back); readahead settles for the oldest clean
+    // idle entry rather than wait on a write-back.
+    Entry* entry = LruIdleLocked(shard, &victim,
+                                 /*clean_only=*/!allow_overflow);
+    if (entry == nullptr || entry->dirty) {
+      break;
     }
-    shard.lru.pop_back();
-    shard.map.erase(it);
+    EraseLocked(shard, victim);
+    cache_stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (shard.map.size() >= shard_capacity_ && !allow_overflow) {
+    return nullptr;
+  }
+  Entry& entry = shard.map[block];
+  entry.data.resize(block_size_);
+  shard.lru.push_front(block);
+  entry.lru_it = shard.lru.begin();
+  return &entry;
+}
+
+Status BlockCache::TrimLocked(Shard& shard, Lock& lock) {
+  while (shard.map.size() > shard_capacity_) {
+    uint64_t victim = 0;
+    Entry* entry = LruIdleLocked(shard, &victim, /*clean_only=*/false);
+    if (entry == nullptr) {
+      return OkStatus();  // all busy: whoever finishes trims
+    }
+    if (entry->dirty) {
+      // Strict LRU: the oldest idle entry is the victim even when dirty.
+      RETURN_IF_ERROR(WritebackLocked(shard, lock, victim, *entry));
+      continue;  // the lock was dropped: pick the victim afresh
+    }
+    EraseLocked(shard, victim);
     cache_stats_.evictions.fetch_add(1, std::memory_order_relaxed);
   }
   return OkStatus();
 }
 
-Status BlockCache::GetEntryLocked(Shard& shard, uint64_t block,
-                                  bool fill_from_device, Entry** out) {
-  auto it = shard.map.find(block);
-  if (it != shard.map.end()) {
-    cache_stats_.hits.fetch_add(1, std::memory_order_relaxed);
-    TouchLocked(shard, block, it->second);
-    *out = &it->second;
+Status BlockCache::AcquireLocked(Shard& shard, Lock& lock, uint64_t block,
+                                 bool fill_from_device, Entry** out) {
+  for (;;) {
+    auto it = shard.map.find(block);
+    if (it != shard.map.end()) {
+      if (it->second.filling) {
+        // Another thread's device read: wait for it rather than issue a
+        // second one. It may fail and erase the entry, hence the re-find.
+        shard.cv.wait(lock);
+        continue;
+      }
+      cache_stats_.hits.fetch_add(1, std::memory_order_relaxed);
+      TouchLocked(shard, block, it->second);
+      *out = &it->second;
+      return OkStatus();
+    }
+    cache_stats_.misses.fetch_add(1, std::memory_order_relaxed);
+    Entry* entry = InsertLocked(shard, block, /*allow_overflow=*/true);
+    if (fill_from_device) {
+      entry->filling = true;
+      lock.unlock();
+      Status st = base_->Read(block, entry->data.data());
+      lock.lock();
+      entry->filling = false;
+      shard.cv.notify_all();
+      if (!st.ok()) {
+        EraseLocked(shard, block);
+        return st;
+      }
+    }
+    *out = entry;
     return OkStatus();
   }
-  cache_stats_.misses.fetch_add(1, std::memory_order_relaxed);
-  Status st = EvictIfFullLocked(shard);
-  if (!st.ok()) {
-    return st;
-  }
-  Entry& entry = shard.map[block];
-  entry.data.resize(block_size_);
-  if (fill_from_device) {
-    st = base_->Read(block, entry.data.data());
-    if (!st.ok()) {
-      shard.map.erase(block);
-      return st;
-    }
-  }
-  shard.lru.push_front(block);
-  entry.lru_it = shard.lru.begin();
-  *out = &entry;
-  return OkStatus();
 }
 
 Status BlockCache::Read(uint64_t block, uint8_t* buf) {
@@ -127,18 +208,130 @@ Status BlockCache::Read(uint64_t block, uint8_t* buf) {
   }
   {
     Shard& shard = ShardFor(block);
-    std::lock_guard<std::mutex> lock(shard.mu);
+    Lock lock(shard.mu);
     Entry* entry = nullptr;
-    Status st = GetEntryLocked(shard, block, /*fill_from_device=*/true, &entry);
-    if (!st.ok()) {
-      return st;
-    }
+    RETURN_IF_ERROR(AcquireLocked(shard, lock, block,
+                                  /*fill_from_device=*/true, &entry));
     std::memcpy(buf, entry->data.data(), block_size_);
+    RETURN_IF_ERROR(TrimLocked(shard, lock));
   }
   if (opts_.readahead_blocks > 0) {
     NoteSequentialRead(block);
   }
   return OkStatus();
+}
+
+Status BlockCache::ReadBlocks(const std::vector<uint64_t>& blocks,
+                              uint8_t* out) {
+  if (blocks.size() == 1) {
+    return Read(blocks[0], out);
+  }
+  for (uint64_t block : blocks) {
+    if (block >= base_->block_count()) {
+      return OutOfRangeError(
+          StrPrintf("cache read past device end: block %llu",
+                    static_cast<unsigned long long>(block)));
+    }
+  }
+  // Claim every missing block before reading any, so the fills overlap.
+  // All-hit extents (the common warm case) allocate no batch.
+  std::shared_ptr<FillBatch> batch;
+  std::vector<size_t> in_flight;  // resident but being filled by another
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    Shard& shard = ShardFor(blocks[i]);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.map.find(blocks[i]);
+    if (it != shard.map.end()) {
+      if (it->second.filling) {
+        in_flight.push_back(i);
+        continue;
+      }
+      cache_stats_.hits.fetch_add(1, std::memory_order_relaxed);
+      TouchLocked(shard, blocks[i], it->second);
+      std::memcpy(out + i * block_size_, it->second.data.data(), block_size_);
+      continue;
+    }
+    cache_stats_.misses.fetch_add(1, std::memory_order_relaxed);
+    Entry* entry = InsertLocked(shard, blocks[i], /*allow_overflow=*/true);
+    entry->filling = true;
+    if (batch == nullptr) {
+      batch = std::make_shared<FillBatch>();
+    }
+    batch->claims.push_back({blocks[i], entry, out + i * block_size_});
+  }
+  if (batch != nullptr) {
+    RETURN_IF_ERROR(RunBatch(batch, /*wait=*/true));
+  }
+  for (size_t i : in_flight) {
+    Shard& shard = ShardFor(blocks[i]);
+    Lock lock(shard.mu);
+    Entry* entry = nullptr;
+    RETURN_IF_ERROR(AcquireLocked(shard, lock, blocks[i],
+                                  /*fill_from_device=*/true, &entry));
+    std::memcpy(out + i * block_size_, entry->data.data(), block_size_);
+    RETURN_IF_ERROR(TrimLocked(shard, lock));
+  }
+  if (opts_.readahead_blocks > 0) {
+    for (uint64_t block : blocks) {
+      NoteSequentialRead(block);
+    }
+  }
+  return OkStatus();
+}
+
+Status BlockCache::RunBatch(const std::shared_ptr<FillBatch>& batch,
+                            bool wait) {
+  const size_t n = batch->claims.size();
+  // The caller works the batch too, so it needs one helper fewer.
+  const size_t helpers = std::min(kIoThreads, wait ? n - 1 : n);
+  if (helpers > 0) {
+    WorkerPool* pool = IoPool();
+    for (size_t h = 0; h < helpers; ++h) {
+      pool->Submit([this, batch] { DrainBatch(*batch); });
+    }
+  }
+  if (!wait) {
+    return OkStatus();
+  }
+  DrainBatch(*batch);
+  std::unique_lock<std::mutex> lock(batch->mu);
+  batch->cv.wait(lock, [&] { return batch->done == n; });
+  return batch->status;
+}
+
+void BlockCache::DrainBatch(FillBatch& batch) {
+  for (;;) {
+    const size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= batch.claims.size()) {
+      return;
+    }
+    Status st = FillClaim(batch.claims[i]);
+    std::lock_guard<std::mutex> lock(batch.mu);
+    if (!st.ok() && batch.status.ok()) {
+      batch.status = st;
+    }
+    if (++batch.done == batch.claims.size()) {
+      batch.cv.notify_all();
+    }
+  }
+}
+
+Status BlockCache::FillClaim(const FillBatch::Claim& claim) {
+  Status st = base_->Read(claim.block, claim.entry->data.data());
+  Shard& shard = ShardFor(claim.block);
+  Lock lock(shard.mu);
+  claim.entry->filling = false;
+  shard.cv.notify_all();
+  if (!st.ok()) {
+    EraseLocked(shard, claim.block);
+    return st;
+  }
+  if (claim.out != nullptr) {
+    std::memcpy(claim.out, claim.entry->data.data(), block_size_);
+  } else {
+    cache_stats_.readaheads.fetch_add(1, std::memory_order_relaxed);
+  }
+  return TrimLocked(shard, lock);
 }
 
 Status BlockCache::Write(uint64_t block, const uint8_t* buf) {
@@ -148,19 +341,14 @@ Status BlockCache::Write(uint64_t block, const uint8_t* buf) {
   }
   {
     Shard& shard = ShardFor(block);
-    std::lock_guard<std::mutex> lock(shard.mu);
+    Lock lock(shard.mu);
     Entry* entry = nullptr;
     // Full-block overwrite: no need to read the old contents on miss.
-    Status st =
-        GetEntryLocked(shard, block, /*fill_from_device=*/false, &entry);
-    if (!st.ok()) {
-      return st;
-    }
+    RETURN_IF_ERROR(AcquireLocked(shard, lock, block,
+                                  /*fill_from_device=*/false, &entry));
     std::memcpy(entry->data.data(), buf, block_size_);
-    if (!entry->dirty) {
-      entry->dirty = true;
-      dirty_count_.fetch_add(1, std::memory_order_relaxed);
-    }
+    MarkDirtyLocked(*entry);
+    RETURN_IF_ERROR(TrimLocked(shard, lock));
   }
   if (dirty_count_.load(std::memory_order_relaxed) >= opts_.flush_watermark) {
     flusher_cv_.notify_one();
@@ -176,17 +364,13 @@ Status BlockCache::Modify(uint64_t block,
   }
   {
     Shard& shard = ShardFor(block);
-    std::lock_guard<std::mutex> lock(shard.mu);
+    Lock lock(shard.mu);
     Entry* entry = nullptr;
-    Status st = GetEntryLocked(shard, block, /*fill_from_device=*/true, &entry);
-    if (!st.ok()) {
-      return st;
-    }
+    RETURN_IF_ERROR(AcquireLocked(shard, lock, block,
+                                  /*fill_from_device=*/true, &entry));
     fn(entry->data.data());
-    if (!entry->dirty) {
-      entry->dirty = true;
-      dirty_count_.fetch_add(1, std::memory_order_relaxed);
-    }
+    MarkDirtyLocked(*entry);
+    RETURN_IF_ERROR(TrimLocked(shard, lock));
   }
   if (dirty_count_.load(std::memory_order_relaxed) >= opts_.flush_watermark) {
     flusher_cv_.notify_one();
@@ -197,13 +381,27 @@ Status BlockCache::Modify(uint64_t block,
 Status BlockCache::Sync() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
+    Lock lock(shard.mu);
+    std::vector<uint64_t> dirty;
     for (auto& [block, entry] : shard.map) {
       if (entry.dirty) {
-        Status st = WritebackLocked(block, entry);
-        if (!st.ok()) {
-          return st;
+        dirty.push_back(block);
+      }
+    }
+    for (uint64_t block : dirty) {
+      for (;;) {
+        auto it = shard.map.find(block);
+        if (it == shard.map.end() || !it->second.dirty) {
+          break;
         }
+        if (it->second.writing) {
+          // Its snapshot may predate a write that happened-before this
+          // Sync: wait it out, then write again if still dirty.
+          shard.cv.wait(lock);
+          continue;
+        }
+        RETURN_IF_ERROR(WritebackLocked(shard, lock, block, it->second));
+        break;  // our snapshot holds every write that preceded the call
       }
     }
   }
@@ -215,7 +413,16 @@ size_t BlockCache::DropDirty() {
   size_t dropped = 0;
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
+    Lock lock(shard.mu);
+    // A write-back in flight holds a pointer to its entry: let it land.
+    shard.cv.wait(lock, [&shard] {
+      for (auto& [block, entry] : shard.map) {
+        if (entry.writing) {
+          return false;
+        }
+      }
+      return true;
+    });
     for (auto it = shard.map.begin(); it != shard.map.end();) {
       if (it->second.dirty) {
         shard.lru.erase(it->second.lru_it);
@@ -319,48 +526,56 @@ void BlockCache::NoteSequentialRead(uint64_t block) {
 }
 
 void BlockCache::PrefetchRange(uint64_t begin, uint64_t end) {
+  // Claim on the caller's thread so a read that arrives before the fill
+  // waits for it instead of missing; fill on the I/O pool. Readahead is
+  // opportunistic: it only takes clean idle victims and never waits.
+  std::shared_ptr<FillBatch> batch;
   for (uint64_t block = begin; block < end; ++block) {
     Shard& shard = ShardFor(block);
     std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.map.count(block) != 0) {
       continue;
     }
-    if (!EvictIfFullLocked(shard).ok()) {
-      return;
+    Entry* entry = InsertLocked(shard, block, /*allow_overflow=*/false);
+    if (entry == nullptr) {
+      break;
     }
-    Entry& entry = shard.map[block];
-    entry.data.resize(block_size_);
-    if (!base_->Read(block, entry.data.data()).ok()) {
-      shard.map.erase(block);
-      return;
+    entry->filling = true;
+    if (batch == nullptr) {
+      batch = std::make_shared<FillBatch>();
     }
-    shard.lru.push_front(block);
-    entry.lru_it = shard.lru.begin();
-    cache_stats_.readaheads.fetch_add(1, std::memory_order_relaxed);
+    batch->claims.push_back({block, entry, nullptr});
+  }
+  if (batch != nullptr) {
+    (void)RunBatch(batch, /*wait=*/false);
   }
 }
 
 Status BlockCache::FlushSome(size_t max_blocks, uint64_t* flushed) {
   uint64_t done = 0;
   for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Flush least-recently-used dirty blocks first: hot blocks likely
-    // get dirtied again, so flushing them early wastes device writes.
-    for (auto it = shard.lru.rbegin();
-         it != shard.lru.rend() && done < max_blocks; ++it) {
-      auto& entry = shard.map.at(*it);
-      if (!entry.dirty) {
-        continue;
-      }
-      Status st = WritebackLocked(*it, entry);
-      if (!st.ok()) {
-        return st;
-      }
-      ++done;
-    }
     if (done >= max_blocks) {
       break;
+    }
+    Shard& shard = *shard_ptr;
+    Lock lock(shard.mu);
+    // Flush least-recently-used dirty blocks first: hot blocks likely
+    // get dirtied again, so flushing them early wastes device writes.
+    std::vector<uint64_t> victims;
+    for (auto it = shard.lru.rbegin();
+         it != shard.lru.rend() && done + victims.size() < max_blocks; ++it) {
+      const Entry& entry = shard.map.find(*it)->second;
+      if (entry.dirty && !entry.busy()) {
+        victims.push_back(*it);
+      }
+    }
+    for (uint64_t block : victims) {
+      auto it = shard.map.find(block);
+      if (it == shard.map.end() || !it->second.dirty || it->second.busy()) {
+        continue;  // evicted, cleaned or claimed while the lock was dropped
+      }
+      RETURN_IF_ERROR(WritebackLocked(shard, lock, block, it->second));
+      ++done;
     }
   }
   if (flushed != nullptr) {

@@ -21,9 +21,16 @@
 // threads patching different inodes in the same 4 KiB block cannot lose
 // each other's update.
 //
-// Device I/O (miss fills, write-backs) happens while holding the shard
-// lock: simple to reason about, TSAN-clean, and still concurrent across
-// shards. See README.md in this directory for the full design notes.
+// Device I/O never runs under a shard lock. A miss inserts an entry
+// marked `filling` and reads the device with the lock dropped; other
+// readers of that block wait on the shard's condvar instead of issuing
+// a second read, and hits on other blocks of the shard proceed. A
+// write-back marks the entry `writing`, writes a snapshot with the lock
+// dropped, and marks it clean only if no newer write landed meanwhile
+// (the entry's version is unchanged). Eviction skips busy entries.
+// ReadBlocks() claims every missing block of an extent at once and fills
+// them in parallel on a small I/O pool; readahead is fire-and-forget on
+// the same pool. See README.md in this directory for the full design.
 #ifndef DISCFS_SRC_BLOCKDEV_BLOCK_CACHE_H_
 #define DISCFS_SRC_BLOCKDEV_BLOCK_CACHE_H_
 
@@ -40,6 +47,7 @@
 
 #include "src/blockdev/blockdev.h"
 #include "src/util/status.h"
+#include "src/util/worker_pool.h"
 
 namespace discfs {
 
@@ -85,6 +93,12 @@ class BlockCache : public BlockDevice {
   uint64_t block_count() const override { return base_->block_count(); }
 
   Status Read(uint64_t block, uint8_t* buf) override;
+  // Reads `blocks` into `out` (blocks.size() * block_size() bytes, in
+  // order). Every missing block is claimed up front and the claims are
+  // filled concurrently on the I/O pool and the calling thread, so an
+  // extent of N cold blocks costs about N / (pool size + 1) device
+  // latencies instead of N.
+  Status ReadBlocks(const std::vector<uint64_t>& blocks, uint8_t* out);
   // Full-block overwrite: installs the new contents dirty without
   // reading the device.
   Status Write(uint64_t block, const uint8_t* buf) override;
@@ -94,8 +108,9 @@ class BlockCache : public BlockDevice {
   // mutate them in place; the block is marked dirty afterwards.
   Status Modify(uint64_t block, const std::function<void(uint8_t*)>& fn);
 
-  // Durability barrier: writes every dirty block to the device. On
-  // return all writes that happened-before the call are on the device.
+  // Durability barrier: writes every dirty block to the device, waiting
+  // out any write-back already in flight. On return all writes that
+  // happened-before the call are on the device.
   Status Sync();
 
   // Crash simulation: discards all dirty blocks without writing them.
@@ -120,13 +135,26 @@ class BlockCache : public BlockDevice {
   size_t num_shards() const { return shards_.size(); }
 
  private:
+  using Lock = std::unique_lock<std::mutex>;
+
   struct Entry {
     std::vector<uint8_t> data;
     bool dirty = false;
+    // A device read is filling `data` with the shard lock dropped; only
+    // the filler touches the entry until it clears.
+    bool filling = false;
+    // A write-back of a snapshot of `data` is in flight.
+    bool writing = false;
+    // Bumped on every mutation: a write-back marks the entry clean only
+    // if the version it snapshotted is still current.
+    uint64_t version = 0;
     std::list<uint64_t>::iterator lru_it;
+    bool busy() const { return filling || writing; }
   };
   struct Shard {
     std::mutex mu;
+    // Signalled whenever a fill or a write-back in this shard ends.
+    std::condition_variable cv;
     std::unordered_map<uint64_t, Entry> map;
     // Front = most recently used.
     std::list<uint64_t> lru;
@@ -137,6 +165,27 @@ class BlockCache : public BlockDevice {
     uint64_t prefetched_to = 0;   // exclusive upper bound of prefetch
     uint32_t run_len = 0;
   };
+  // Claimed (`filling`) entries to fill from the device. Helpers on the
+  // I/O pool and, for ReadBlocks, the calling thread pull claims off a
+  // shared cursor, so the caller never waits on a helper that has not
+  // started.
+  struct FillBatch {
+    struct Claim {
+      uint64_t block;
+      Entry* entry;
+      uint8_t* out;  // where to copy the filled block; null for readahead
+    };
+    std::vector<Claim> claims;
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t done = 0;  // guarded by mu
+    Status status;    // first fill error; guarded by mu
+  };
+
+  // I/O pool size: enough to overlap an extent's fills with the device
+  // latency model, small enough to stay out of the RSS budget.
+  static constexpr size_t kIoThreads = 4;
 
   Shard& ShardFor(uint64_t block) {
     // Group 8 consecutive blocks per shard so sequential runs and their
@@ -144,12 +193,44 @@ class BlockCache : public BlockDevice {
     return *shards_[(block >> 3) & shard_mask_];
   }
 
-  // All helpers below require `shard.mu` held.
-  Status GetEntryLocked(Shard& shard, uint64_t block, bool fill_from_device,
-                        Entry** out);
-  Status EvictIfFullLocked(Shard& shard);
-  Status WritebackLocked(uint64_t block, Entry& entry);
+  // *Locked helpers require the shard's mutex held. Those taking its
+  // `Lock&` may drop it across device I/O: callers must not keep an
+  // iterator or a non-busy Entry* across such a call.
+
+  // Returns the resident entry for `block` with valid contents: waits out
+  // another thread's fill, and on a miss inserts the entry and (with
+  // `fill_from_device`) reads it with the lock dropped. A non-filled
+  // insert is zeroed.
+  Status AcquireLocked(Shard& shard, Lock& lock, uint64_t block,
+                       bool fill_from_device, Entry** out);
+  // Inserts an entry for absent `block`, first evicting clean idle LRU
+  // victims while the shard is full. Never drops the lock. With
+  // `allow_overflow` (demand misses) the victim is the LRU-most idle
+  // entry; when it is dirty, or every entry is busy, the shard is left
+  // over capacity for TrimLocked to fix. Without it (readahead) the
+  // victim is the LRU-most clean idle entry, and when there is none it
+  // inserts nothing and returns null.
+  Entry* InsertLocked(Shard& shard, uint64_t block, bool allow_overflow);
+  // Evicts down to capacity in strict LRU order over idle entries,
+  // writing dirty victims back (drops the lock across each write).
+  Status TrimLocked(Shard& shard, Lock& lock);
+  // The least recently used non-busy (and, with `clean_only`, non-dirty)
+  // entry, or null.
+  Entry* LruIdleLocked(Shard& shard, uint64_t* block, bool clean_only);
+  // Writes a snapshot of the dirty, idle `entry` with the lock dropped.
+  Status WritebackLocked(Shard& shard, Lock& lock, uint64_t block,
+                         Entry& entry);
+  void EraseLocked(Shard& shard, uint64_t block);
+  void MarkDirtyLocked(Entry& entry);
   void TouchLocked(Shard& shard, uint64_t block, Entry& entry);
+
+  // Runs the non-empty `batch` on the I/O pool; with `wait`, the caller
+  // fills claims too and returns the first fill error once every claim is
+  // done.
+  Status RunBatch(const std::shared_ptr<FillBatch>& batch, bool wait);
+  void DrainBatch(FillBatch& batch);
+  Status FillClaim(const FillBatch::Claim& claim);
+  WorkerPool* IoPool();
 
   void NoteSequentialRead(uint64_t block);
   void PrefetchRange(uint64_t begin, uint64_t end);
@@ -176,6 +257,11 @@ class BlockCache : public BlockDevice {
   std::condition_variable flusher_cv_;
   bool stop_flusher_ = false;
   std::thread flusher_;
+
+  // Started on the first parallel fill, so a cache that never misses
+  // never spawns it. Shut down first in the destructor.
+  std::once_flag io_pool_once_;
+  std::unique_ptr<WorkerPool> io_pool_;
 };
 
 }  // namespace discfs

@@ -685,21 +685,62 @@ Result<size_t> Ffs::ReadInternal(DiskInode& node, uint64_t offset, size_t len,
   }
   len = static_cast<size_t>(
       std::min<uint64_t>(len, node.size - offset));
+  if (len == 0) {
+    return size_t{0};
+  }
   const uint32_t bs = sb_->block_size;
-  std::vector<uint8_t> buf(bs);
-  size_t done = 0;
+  const uint64_t first_fb = offset / bs;
+  const uint64_t last_fb = (offset + len - 1) / bs;
   bool dirty = false;
-  while (done < len) {
-    uint64_t pos = offset + done;
-    uint64_t fb = pos / bs;
-    uint32_t in_block = static_cast<uint32_t>(pos % bs);
-    size_t take = std::min<size_t>(len - done, bs - in_block);
+  if (first_fb == last_fb) {
+    ASSIGN_OR_RETURN(uint64_t block, BMap(node, first_fb, false, dirty));
+    if (block == 0) {
+      std::memset(out, 0, len);  // hole
+      return len;
+    }
+    std::vector<uint8_t> buf(bs);
+    RETURN_IF_ERROR(dev_->Read(block, buf.data()));
+    std::memcpy(out, buf.data() + offset % bs, len);
+    return len;
+  }
+  // Map the whole extent first, then fetch its blocks in one batch so the
+  // cache fills the misses in parallel instead of one at a time.
+  std::vector<uint64_t> mapped(last_fb - first_fb + 1);
+  std::vector<uint64_t> blocks;
+  blocks.reserve(mapped.size());
+  for (uint64_t fb = first_fb; fb <= last_fb; ++fb) {
     ASSIGN_OR_RETURN(uint64_t block, BMap(node, fb, false, dirty));
+    mapped[fb - first_fb] = block;
+    if (block != 0) {
+      blocks.push_back(block);
+    }
+  }
+  // A block-aligned read without holes lands straight in `out`; anything
+  // else goes through a bounce buffer and is cut to size below.
+  const bool direct = offset % bs == 0 && len % bs == 0 &&
+                      blocks.size() == mapped.size();
+  std::vector<uint8_t> bounce(direct ? 0 : blocks.size() * bs);
+  uint8_t* extent = direct ? out : bounce.data();
+  if (cache_ != nullptr) {
+    RETURN_IF_ERROR(cache_->ReadBlocks(blocks, extent));
+  } else {
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      RETURN_IF_ERROR(dev_->Read(blocks[i], extent + i * bs));
+    }
+  }
+  if (direct) {
+    return len;
+  }
+  const uint8_t* next = extent;
+  size_t done = 0;
+  for (uint64_t block : mapped) {
+    uint32_t in_block = static_cast<uint32_t>((offset + done) % bs);
+    size_t take = std::min<size_t>(len - done, bs - in_block);
     if (block == 0) {
       std::memset(out + done, 0, take);  // hole
     } else {
-      RETURN_IF_ERROR(dev_->Read(block, buf.data()));
-      std::memcpy(out + done, buf.data() + in_block, take);
+      std::memcpy(out + done, next + in_block, take);
+      next += bs;
     }
     done += take;
   }

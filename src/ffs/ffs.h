@@ -16,17 +16,21 @@
 // reuse, so NFS file handles (inode, generation) never resurrect — the
 // handle scheme §5 of the paper borrows from 4.4BSD.
 //
-// Concurrency contract (since the block-cache re-layering): Ffs sits on a
-// write-back BlockCache and may be called from many threads as long as the
-// caller serializes per-object access the way NfsServer does — namespace
-// mutations (Create/Mkdir/Symlink/Link/Remove/Rmdir/Rename) exclusive
-// against everything, per-inode writes (Write/SetAttr) exclusive per inode,
-// reads shared. Under that contract all shared internal state is safe:
-// sub-block updates go through the cache's atomic Modify, allocation state
-// (bitmaps, superblock counters) is serialized by an internal mutex, and
-// the inode cache is sharded + write-through. Check() requires a quiesced
-// volume. Mounting with the cache disabled (cache.capacity_blocks = 0) is
-// single-threaded only.
+// Concurrency contract: Ffs sits on a write-back BlockCache and may be
+// called from many threads as long as the caller serializes per-object
+// access the way NfsServer does:
+//   - Create and Remove exclusive per parent directory (Remove also
+//     exclusive on the target inode); namespace mutations in different
+//     directories may run concurrently;
+//   - Mkdir/Rmdir/Rename/Link/Symlink exclusive against everything;
+//   - per-inode writes (Write/SetAttr) exclusive per inode, reads shared.
+// Under that contract all shared internal state is safe: sub-block
+// updates go through the cache's atomic Modify, allocation state (bitmaps,
+// superblock counters) stays serialized by alloc_mu_, and the inode cache
+// is sharded + write-through. Multi-block reads map the whole extent
+// first and fetch it through BlockCache::ReadBlocks, which fills its
+// misses in parallel. Check() requires a quiesced volume. Mounting with
+// the cache disabled (cache.capacity_blocks = 0) is single-threaded only.
 #ifndef DISCFS_SRC_FFS_FFS_H_
 #define DISCFS_SRC_FFS_FFS_H_
 

@@ -37,16 +37,23 @@ uint32_t LoadU32Be(const uint8_t* p) {
          (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
 }
 
+// Value of a lowercase hex digit, or -1.
+int HexDigitValue(char c) {
+  if (c >= '0' && c <= '9') {
+    return c - '0';
+  }
+  if (c >= 'a' && c <= 'f') {
+    return c - 'a' + 10;
+  }
+  return -1;
+}
+
 bool IsChunkId(const std::string& id) {
   if (id.size() != kIdHexLen) {
     return false;
   }
-  for (char c : id) {
-    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) {
-      return false;
-    }
-  }
-  return true;
+  return std::all_of(id.begin(), id.end(),
+                     [](char c) { return HexDigitValue(c) >= 0; });
 }
 
 }  // namespace
@@ -55,7 +62,20 @@ std::string ChunkStore::ChunkId(const Bytes& data) {
   return HexEncode(Sha256::Hash(data));
 }
 
+size_t ChunkStore::ShardIndex(const std::string& id) {
+  if (id.empty()) {
+    return 0;
+  }
+  const int value = HexDigitValue(id[0]);
+  return value < 0 ? 0 : static_cast<size_t>(value);
+}
+
 Result<NfsFh> ChunkStore::PrefixDir(const std::string& prefix, bool create) {
+  const size_t slot = static_cast<size_t>(HexDigitValue(prefix[0]) * 16 +
+                                          HexDigitValue(prefix[1]));
+  if (std::optional<NfsFh> cached = prefix_dirs_[slot].Load()) {
+    return *cached;
+  }
   // Serialized so two threads creating the spine for different chunks
   // don't race Lookup-then-Mkdir on the same directory.
   std::lock_guard<std::mutex> lock(init_mu_);
@@ -74,6 +94,7 @@ Result<NfsFh> ChunkStore::PrefixDir(const std::string& prefix, bool create) {
     ASSIGN_OR_RETURN(NfsFattr made, nfs_->Mkdir(dir, name, 0755));
     dir = made.fh;
   }
+  prefix_dirs_[slot].Store(dir);
   return dir;
 }
 

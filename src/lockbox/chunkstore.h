@@ -21,9 +21,11 @@
 // and garbage-collects the file at zero.
 //
 // Thread safety: refcount read-modify-write is serialized by per-chunk
-// mutex shards (keyed by the id's first byte); the NfsServer calls inside
-// take their own namespace/stripe locks, acquired strictly after the shard
-// lock, so lock order is shard -> ns -> stripe.
+// mutex shards (keyed by the value of the id's leading hex digit); the
+// NfsServer calls inside take their own namespace/stripe locks, acquired
+// strictly after the shard lock, so lock order is shard -> ns -> stripe.
+// The directory spine is resolved once per prefix and its handles kept:
+// the store never removes those directories.
 #ifndef DISCFS_SRC_LOCKBOX_CHUNKSTORE_H_
 #define DISCFS_SRC_LOCKBOX_CHUNKSTORE_H_
 
@@ -101,12 +103,20 @@ class ChunkStore {
   };
   Result<AuditReport> Audit();
 
+  // Refcount shard of `id`: the value (0-15) of its leading hex digit, so
+  // uniformly distributed ids spread over every shard. Public for tests.
+  static size_t ShardIndex(const std::string& id);
+
  private:
   static constexpr size_t kShards = 16;
   static constexpr size_t kHeaderSize = 4 + 4 + 32;  // magic, refcount, id
   static constexpr size_t kRefCountOffset = 4;
 
-  // Resolves (creating on demand) /.lockbox/chunks/<prefix>.
+  static constexpr size_t kPrefixes = 256;  // two hex digits
+
+  // Resolves (creating on demand) /.lockbox/chunks/<prefix>; `prefix` is
+  // two lowercase hex digits. After the first success the handle comes
+  // from prefix_dirs_ without touching init_mu_ or the namespace.
   Result<NfsFh> PrefixDir(const std::string& prefix, bool create);
   // Lookup of the chunk file plus header validation against `id`.
   Result<NfsFh> FindChunk(const std::string& id);
@@ -114,11 +124,12 @@ class ChunkStore {
   Status WriteRefCount(const NfsFh& fh, uint32_t count);
 
   std::mutex& ShardFor(const std::string& id) {
-    return shards_[static_cast<size_t>(id.empty() ? 0 : id[0]) % kShards];
+    return shards_[ShardIndex(id)];
   }
 
   NfsServer* nfs_;
   std::mutex init_mu_;  // guards lazy creation of the directory spine
+  std::array<AtomicFh, kPrefixes> prefix_dirs_;
   std::array<std::mutex, kShards> shards_;
   std::atomic<uint64_t> puts_{0};
   std::atomic<uint64_t> dedup_hits_{0};

@@ -28,6 +28,9 @@ Result<Bytes> OpenPayload(const Bytes& content_key, const Bytes& sealed) {
 }
 
 Result<NfsFh> LockboxService::BoxDir(bool create) {
+  if (std::optional<NfsFh> cached = box_dir_.Load()) {
+    return *cached;
+  }
   std::lock_guard<std::mutex> lock(init_mu_);
   ASSIGN_OR_RETURN(NfsFattr root, nfs_->GetRoot());
   NfsFh dir = root.fh;
@@ -43,6 +46,7 @@ Result<NfsFh> LockboxService::BoxDir(bool create) {
     ASSIGN_OR_RETURN(NfsFattr made, nfs_->Mkdir(dir, name, 0755));
     dir = made.fh;
   }
+  box_dir_.Store(dir);
   return dir;
 }
 

@@ -86,7 +86,8 @@ class LockboxService {
  private:
   static constexpr size_t kStripes = 64;
 
-  // Resolves (creating on demand) /.lockbox/box.
+  // Resolves (creating on demand) /.lockbox/box. After the first success
+  // the handle comes from box_dir_; the directory is never removed.
   Result<NfsFh> BoxDir(bool create);
   Result<wire::LockboxRecord> LoadLocked(uint32_t handle);
   Status StoreLocked(const wire::LockboxRecord& record);
@@ -98,6 +99,7 @@ class LockboxService {
   NfsServer* nfs_;
   ChunkStore* chunks_;
   std::mutex init_mu_;  // guards lazy creation of /.lockbox/box
+  AtomicFh box_dir_;
   std::array<std::mutex, kStripes> stripes_;
 };
 

@@ -1,5 +1,6 @@
 #include "src/nfs/nfs_server.h"
 
+#include <algorithm>
 #include <mutex>
 
 #include "src/util/strings.h"
@@ -101,7 +102,11 @@ Result<NfsFattr> NfsServer::Write(const NfsFh& fh, uint64_t offset,
 
 Result<NfsFattr> NfsServer::Create(const NfsFh& dir, const std::string& name,
                                    uint32_t mode) {
-  std::unique_lock<std::shared_mutex> ns(ns_mu_);
+  // Per-directory: creates in other directories, and data ops on other
+  // inodes, proceed in parallel. The new inode needs no stripe (see the
+  // locking notes in nfs_server.h).
+  std::shared_lock<std::shared_mutex> ns(ns_mu_);
+  std::unique_lock<std::shared_mutex> stripe(StripeFor(dir.inode));
   RETURN_IF_ERROR(CheckFh(dir).status());
   ASSIGN_OR_RETURN(InodeAttr attr, vfs_->Create(dir.inode, name, mode));
   return FattrFromInode(attr);
@@ -116,9 +121,36 @@ Result<NfsFattr> NfsServer::Mkdir(const NfsFh& dir, const std::string& name,
 }
 
 Status NfsServer::Remove(const NfsFh& dir, const std::string& name) {
-  std::unique_lock<std::shared_mutex> ns(ns_mu_);
-  RETURN_IF_ERROR(CheckFh(dir).status());
-  return vfs_->Remove(dir.inode, name);
+  // Per-directory: the parent's stripe orders this against lookups and
+  // creates in the same directory, the target's against its readers and
+  // writers. Resolve the target first, lock both stripes, then confirm
+  // the name still maps to it (a concurrent remove + create may have
+  // rebound it while nothing was held).
+  std::shared_lock<std::shared_mutex> ns(ns_mu_);
+  for (;;) {
+    InodeNum target = 0;
+    {
+      std::shared_lock<std::shared_mutex> stripe(StripeFor(dir.inode));
+      RETURN_IF_ERROR(CheckFh(dir).status());
+      ASSIGN_OR_RETURN(InodeAttr attr, vfs_->Lookup(dir.inode, name));
+      target = attr.inode;
+    }
+    // Two stripes are always taken in index order (one if they coincide).
+    const size_t lo = std::min(dir.inode % kInodeStripes,
+                               target % kInodeStripes);
+    const size_t hi = std::max(dir.inode % kInodeStripes,
+                               target % kInodeStripes);
+    std::unique_lock<std::shared_mutex> first(inode_stripes_[lo]);
+    std::unique_lock<std::shared_mutex> second;
+    if (hi != lo) {
+      second = std::unique_lock<std::shared_mutex>(inode_stripes_[hi]);
+    }
+    RETURN_IF_ERROR(CheckFh(dir).status());
+    ASSIGN_OR_RETURN(InodeAttr attr, vfs_->Lookup(dir.inode, name));
+    if (attr.inode == target) {
+      return vfs_->Remove(dir.inode, name);
+    }
+  }
 }
 
 Status NfsServer::Rmdir(const NfsFh& dir, const std::string& name) {

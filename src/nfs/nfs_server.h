@@ -78,15 +78,20 @@ class NfsServer {
   std::shared_ptr<Vfs> vfs_;
   AccessHook access_hook_;
 
-  // Two-level locking, replacing the old single mutex so independent
-  // files proceed in parallel on the worker pool:
-  //   1. ns_mu_ — shared for data-plane ops (GetAttr/Read/Write/SetAttr/
-  //      Lookup/ReadDir/ReadLink/StatFs), exclusive for namespace
-  //      mutations (Create/Mkdir/Symlink/Link/Remove/Rmdir/Rename).
+  // Two-level locking, so independent files and directories proceed in
+  // parallel on the worker pool:
+  //   1. ns_mu_ — exclusive only for Mkdir/Rmdir/Rename/Link/Symlink
+  //      (they move or re-parent names across directories); shared for
+  //      everything else.
   //   2. per-inode stripes — shared for reads of an inode, exclusive for
-  //      Write/SetAttr. Namespace ops skip the stripes: exclusive ns_mu_
-  //      already excludes everything.
-  // Lock order is always ns_mu_ then one stripe, so no deadlocks.
+  //      Write/SetAttr. Create takes the parent directory's stripe
+  //      exclusive; Remove takes the parent's and the target's stripes
+  //      exclusive, always in stripe-index order, and re-checks after
+  //      locking that the name still maps to the same inode.
+  // Lock order is always ns_mu_ then stripes in ascending index order, so
+  // no deadlocks. A new inode from Create needs no stripe: until Create
+  // returns, every handle naming that inode number is stale (its
+  // generation was bumped) and CheckFh rejects it.
   static constexpr size_t kInodeStripes = 64;
   std::shared_mutex& StripeFor(InodeNum inode) {
     return inode_stripes_[inode % kInodeStripes];

@@ -7,7 +7,9 @@
 #ifndef DISCFS_SRC_NFS_PROTOCOL_H_
 #define DISCFS_SRC_NFS_PROTOCOL_H_
 
+#include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,28 @@ struct NfsFh {
   bool operator<(const NfsFh& o) const {
     return inode != o.inode ? inode < o.inode : generation < o.generation;
   }
+};
+
+// A resolved handle that threads read without a lock. The handle is packed
+// into one word (inode in the high half); inode 0 is never valid, so an
+// empty slot reads as nullopt.
+class AtomicFh {
+ public:
+  std::optional<NfsFh> Load() const {
+    uint64_t packed = packed_.load(std::memory_order_acquire);
+    if (packed == 0) {
+      return std::nullopt;
+    }
+    return NfsFh{static_cast<uint32_t>(packed >> 32),
+                 static_cast<uint32_t>(packed)};
+  }
+  void Store(const NfsFh& fh) {
+    packed_.store((static_cast<uint64_t>(fh.inode) << 32) | fh.generation,
+                  std::memory_order_release);
+  }
+
+ private:
+  std::atomic<uint64_t> packed_{0};
 };
 
 // File attributes on the wire (the NFSv2 fattr, trimmed to what the stack

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -268,6 +273,197 @@ TEST(BlockCacheTest, ConcurrentReadWriteStorm) {
   ASSERT_FALSE(failed.load());
   ASSERT_TRUE(cache.Sync().ok());
   EXPECT_EQ(cache.dirty_blocks(), 0u);
+}
+
+// --- in-flight states: device I/O runs with the shard lock dropped ---
+
+// A device whose reads and/or writes park until Open(), so a test can hold
+// an I/O in flight and watch what the cache does meanwhile. Every wait in
+// these tests is bounded: a cache that serializes behind a parked I/O
+// fails the test instead of hanging it.
+class GatedDevice : public BlockDevice {
+ public:
+  explicit GatedDevice(uint64_t blocks) : base_(kBlockSize, blocks) {}
+
+  uint32_t block_size() const override { return base_.block_size(); }
+  uint64_t block_count() const override { return base_.block_count(); }
+  const BlockDeviceStats& stats() const override { return base_.stats(); }
+
+  Status Read(uint64_t block, uint8_t* buf) override {
+    Park(gate_reads_);
+    return base_.Read(block, buf);
+  }
+  Status Write(uint64_t block, const uint8_t* buf) override {
+    Park(gate_writes_);
+    return base_.Write(block, buf);
+  }
+
+  void Gate(bool reads, bool writes) {
+    std::lock_guard<std::mutex> lock(mu_);
+    gate_reads_ = reads;
+    gate_writes_ = writes;
+  }
+  void Open() {
+    Gate(false, false);
+    cv_.notify_all();
+  }
+
+  // True once at least `n` I/Os are parked at the same time.
+  bool WaitParked(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, kWait, [&] { return parked_ >= n; });
+  }
+  size_t parked() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return parked_;
+  }
+
+  static constexpr std::chrono::seconds kWait{5};
+
+ private:
+  void Park(const bool& gated) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!gated) {
+      return;
+    }
+    ++parked_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return !gated; });
+    --parked_;
+  }
+
+  MemBlockDevice base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool gate_reads_ = false;
+  bool gate_writes_ = false;
+  size_t parked_ = 0;
+};
+
+TEST(BlockCacheInFlight, HitCompletesWhileMissFillIsParked) {
+  auto dev = std::make_shared<GatedDevice>(64);
+  BlockCache cache(dev, ManualOptions(16));  // one shard: same lock
+  std::vector<uint8_t> buf(kBlockSize);
+  ASSERT_TRUE(cache.Read(1, buf.data()).ok());
+
+  dev->Gate(/*reads=*/true, /*writes=*/false);
+  std::thread miss([&cache] {
+    std::vector<uint8_t> b(kBlockSize);
+    EXPECT_TRUE(cache.Read(2, b.data()).ok());
+  });
+  const bool parked = dev->WaitParked(1);
+  auto hit = std::async(std::launch::async, [&cache] {
+    std::vector<uint8_t> b(kBlockSize);
+    return cache.Read(1, b.data()).ok();
+  });
+  const bool hit_done =
+      hit.wait_for(GatedDevice::kWait) == std::future_status::ready;
+  dev->Open();
+  miss.join();
+  EXPECT_TRUE(parked);
+  EXPECT_TRUE(hit_done) << "a hit waited behind another block's fill";
+  EXPECT_TRUE(hit.get());
+}
+
+TEST(BlockCacheInFlight, ConcurrentMissesOfOneBlockReadTheDeviceOnce) {
+  auto dev = std::make_shared<GatedDevice>(64);
+  auto pattern = Pattern(5);
+  ASSERT_TRUE(dev->Write(5, pattern.data()).ok());
+  BlockCache cache(dev, ManualOptions(16));
+
+  dev->Gate(/*reads=*/true, /*writes=*/false);
+  constexpr int kReaders = 8;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&cache, &wrong, &pattern] {
+      std::vector<uint8_t> b(kBlockSize);
+      if (!cache.Read(5, b.data()).ok() || b != pattern) {
+        wrong.fetch_add(1);
+      }
+    });
+  }
+  const bool parked = dev->WaitParked(1);
+  // Give the other readers time to arrive: they must queue on the fill,
+  // not park a second device read.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const size_t parked_reads = dev->parked();
+  dev->Open();
+  for (auto& th : readers) {
+    th.join();
+  }
+  EXPECT_TRUE(parked);
+  EXPECT_EQ(parked_reads, 1u);
+  EXPECT_EQ(dev->stats().reads.load(), 1u);
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(BlockCacheInFlight, RedirtyDuringWritebackStaysDirty) {
+  auto dev = std::make_shared<GatedDevice>(64);
+  BlockCache cache(dev, ManualOptions(16));
+  auto older = Pattern(1);
+  auto newer = Pattern(2);
+  ASSERT_TRUE(cache.Write(0, older.data()).ok());
+
+  dev->Gate(/*reads=*/false, /*writes=*/true);
+  std::thread sync([&cache] { EXPECT_TRUE(cache.Sync().ok()); });
+  const bool parked = dev->WaitParked(1);
+  auto rewrite = std::async(std::launch::async, [&cache, &newer] {
+    return cache.Write(0, newer.data()).ok();
+  });
+  const bool rewrite_done =
+      rewrite.wait_for(GatedDevice::kWait) == std::future_status::ready;
+  dev->Open();
+  sync.join();
+  EXPECT_TRUE(parked);
+  EXPECT_TRUE(rewrite_done) << "a write waited behind the block's write-back";
+  EXPECT_TRUE(rewrite.get());
+
+  // The in-flight write-back carried the older snapshot: the block must
+  // still be dirty, and the next Sync must leave the newest bytes.
+  EXPECT_EQ(cache.dirty_blocks(), 1u);
+  ASSERT_TRUE(cache.Sync().ok());
+  EXPECT_EQ(cache.dirty_blocks(), 0u);
+  std::vector<uint8_t> on_device(kBlockSize);
+  ASSERT_TRUE(dev->Read(0, on_device.data()).ok());
+  EXPECT_EQ(on_device, newer);
+}
+
+TEST(BlockCacheInFlight, ReadBlocksFillsAnExtentInParallel) {
+  constexpr uint64_t kExtent = 16;
+  auto dev = std::make_shared<GatedDevice>(64);
+  for (uint64_t b = 0; b < kExtent; ++b) {
+    auto pattern = Pattern(b);
+    ASSERT_TRUE(dev->Write(b, pattern.data()).ok());
+  }
+  BlockCacheOptions opts;
+  opts.capacity_blocks = 64;
+  opts.readahead_blocks = 0;
+  opts.flusher_thread = false;
+  BlockCache cache(dev, opts);
+  std::vector<uint8_t> buf(kBlockSize);
+  ASSERT_TRUE(cache.Read(3, buf.data()).ok());  // one hit in the extent
+
+  dev->Gate(/*reads=*/true, /*writes=*/false);
+  std::vector<uint64_t> blocks;
+  for (uint64_t b = 0; b < kExtent; ++b) {
+    blocks.push_back(b);
+  }
+  std::vector<uint8_t> extent(kExtent * kBlockSize);
+  std::thread reader([&cache, &blocks, &extent] {
+    EXPECT_TRUE(cache.ReadBlocks(blocks, extent.data()).ok());
+  });
+  const bool overlapped = dev->WaitParked(2);
+  dev->Open();
+  reader.join();
+  EXPECT_TRUE(overlapped) << "extent misses were read one at a time";
+  EXPECT_EQ(dev->stats().reads.load(), kExtent);  // each block once
+  for (uint64_t b = 0; b < kExtent; ++b) {
+    EXPECT_TRUE(std::equal(extent.begin() + b * kBlockSize,
+                           extent.begin() + (b + 1) * kBlockSize,
+                           Pattern(b).begin()))
+        << "block " << b;
+  }
 }
 
 // Crash simulation end-to-end: churn a filesystem past a Sync point, drop

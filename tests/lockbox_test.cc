@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <set>
 
 #include "src/crypto/groups.h"
 #include "src/crypto/keywrap.h"
@@ -172,6 +173,21 @@ TEST(ChunkStore, DedupRefcountAndGc) {
   EXPECT_FALSE(store.Get("zz").ok());  // malformed id
   EXPECT_EQ(store.Get(std::string(64, '0')).status().code(),
             StatusCode::kNotFound);
+}
+
+// Chunk ids are lowercase hex: the refcount shard must come from the
+// leading digit's value, or 'a'-'f' alias onto shards 1-6 by ASCII code
+// and shards 10-15 never see a chunk.
+TEST(ChunkStore, LeadingHexDigitsReachEveryShard) {
+  const std::string digits = "0123456789abcdef";
+  std::set<size_t> shards;
+  for (char c : digits) {
+    size_t shard = ChunkStore::ShardIndex(std::string(1, c) +
+                                          std::string(63, '0'));
+    EXPECT_LT(shard, digits.size());
+    shards.insert(shard);
+  }
+  EXPECT_EQ(shards.size(), digits.size());
 }
 
 // --- lockbox service over the chunk store ---

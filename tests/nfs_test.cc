@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "src/nfs/nfs_client.h"
@@ -350,6 +352,160 @@ TEST(NfsConcurrency, IndependentFileStorm) {
     th.join();
   }
   EXPECT_EQ(failures.load(), 0);
+
+  ASSERT_TRUE(ffs->Sync().ok());
+  auto report = ffs->Check();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->clean())
+      << report->errors.size() << " fsck errors, first: "
+      << report->errors.front();
+}
+
+// Namespace storm against per-directory Create/Remove (shared ns_mu_ plus
+// directory/target stripes): threads create and remove in their own
+// directories and in one shared directory, while readers read files that
+// a remover is deleting under them. Every read must return exactly the
+// bytes written or a stale-handle/not-found error, every surviving name
+// must resolve, and the volume must fsck clean. A small block cache keeps
+// eviction and write-back running throughout. Run under TSAN by
+// tools/run_tsan.sh.
+TEST(NfsConcurrency, PerDirectoryNamespaceStorm) {
+  auto dev = std::make_shared<MemBlockDevice>(4096, 16384);
+  FfsFormatOptions format{2048};
+  format.mount.cache.capacity_blocks = 64;
+  format.mount.cache.flush_interval_ms = 5;
+  auto fs = Ffs::Format(dev, format);
+  ASSERT_TRUE(fs.ok());
+  Ffs* ffs = fs->get();
+  auto vfs = std::make_shared<FfsVfs>(std::move(fs).value());
+  NfsServer server(vfs);
+  auto root = server.GetRoot();
+  ASSERT_TRUE(root.ok());
+
+  constexpr int kOwnDirThreads = 4;
+  constexpr int kSharedThreads = 2;
+  constexpr int kFilesPerThread = 40;
+  std::vector<NfsFh> own_dirs;
+  for (int t = 0; t < kOwnDirThreads; ++t) {
+    auto d = server.Mkdir(root->fh, "dir" + std::to_string(t), 0755);
+    ASSERT_TRUE(d.ok());
+    own_dirs.push_back(d->fh);
+  }
+  auto shared_dir = server.Mkdir(root->fh, "shared", 0755);
+  ASSERT_TRUE(shared_dir.ok());
+
+  // Files the remover deletes while readers read them: multi-block, so
+  // reads take the parallel extent path.
+  constexpr int kVictims = 16;
+  std::vector<NfsFh> victims;
+  std::vector<Bytes> victim_data;
+  Prng seed_prng(4242);
+  for (int v = 0; v < kVictims; ++v) {
+    auto f = server.Create(root->fh, "victim" + std::to_string(v), 0644);
+    ASSERT_TRUE(f.ok());
+    victim_data.push_back(seed_prng.NextBytes(5 * 4096 + 123));
+    ASSERT_TRUE(server.Write(f->fh, 0, victim_data.back()).ok());
+    victims.push_back(f->fh);
+  }
+
+  std::atomic<int> failures{0};
+  std::atomic<bool> removing_done{false};
+  auto fail = [&failures](const std::string& what) {
+    ADD_FAILURE() << what;
+    failures.fetch_add(1);
+  };
+  std::vector<std::thread> threads;
+
+  // Create/write/read/remove in each thread's own directory; keep the
+  // odd-numbered files so the end state is checkable.
+  for (int t = 0; t < kOwnDirThreads; ++t) {
+    threads.emplace_back([&server, &fail, dir = own_dirs[t], t] {
+      Prng prng(9100 + t);
+      for (int i = 0; i < kFilesPerThread; ++i) {
+        const std::string name = "f" + std::to_string(i);
+        auto f = server.Create(dir, name, 0644);
+        if (!f.ok()) {
+          return fail("create " + name + ": " + f.status().ToString());
+        }
+        Bytes payload = prng.NextBytes(1 + prng.Next() % 9000);
+        if (!server.Write(f->fh, 0, payload).ok()) {
+          return fail("write " + name);
+        }
+        auto back =
+            server.Read(f->fh, 0, static_cast<uint32_t>(payload.size()));
+        if (!back.ok() || *back != payload) {
+          return fail("read-back " + name);
+        }
+        if (i % 2 == 0 && !server.Remove(dir, name).ok()) {
+          return fail("remove " + name);
+        }
+      }
+    });
+  }
+  // Create/remove races inside one shared directory.
+  for (int t = 0; t < kSharedThreads; ++t) {
+    threads.emplace_back([&server, &fail, dir = shared_dir->fh, t] {
+      for (int i = 0; i < kFilesPerThread; ++i) {
+        const std::string name =
+            "s" + std::to_string(t) + "_" + std::to_string(i);
+        if (!server.Create(dir, name, 0644).ok()) {
+          return fail("shared create " + name);
+        }
+        if (!server.Lookup(dir, name).ok() || !server.ReadDir(dir).ok()) {
+          return fail("shared lookup/readdir " + name);
+        }
+        if (!server.Remove(dir, name).ok()) {
+          return fail("shared remove " + name);
+        }
+      }
+    });
+  }
+  // Readers of the victims: exact bytes, or the handle went stale.
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      Prng prng(5300 + r);
+      while (!removing_done.load()) {
+        const size_t v = prng.Next() % kVictims;
+        auto back = server.Read(victims[v], 0, 6 * 4096);
+        if (back.ok()) {
+          if (*back != victim_data[v]) {
+            return fail("torn or foreign read of victim" + std::to_string(v));
+          }
+        } else if (back.status().code() != StatusCode::kNotFound) {
+          return fail("victim read: " + back.status().ToString());
+        }
+      }
+    });
+  }
+  threads.emplace_back([&server, &fail, &removing_done, root_fh = root->fh] {
+    for (int v = 0; v < kVictims; ++v) {
+      if (!server.Remove(root_fh, "victim" + std::to_string(v)).ok()) {
+        fail("remove victim" + std::to_string(v));
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    removing_done.store(true);
+  });
+  for (auto& th : threads) {
+    th.join();
+  }
+  ASSERT_EQ(failures.load(), 0);
+
+  for (int t = 0; t < kOwnDirThreads; ++t) {
+    auto entries = server.ReadDir(own_dirs[t]);
+    ASSERT_TRUE(entries.ok());
+    EXPECT_EQ(entries->size(), static_cast<size_t>(kFilesPerThread / 2));
+    for (int i = 1; i < kFilesPerThread; i += 2) {
+      EXPECT_TRUE(server.Lookup(own_dirs[t], "f" + std::to_string(i)).ok());
+    }
+  }
+  auto shared_entries = server.ReadDir(shared_dir->fh);
+  ASSERT_TRUE(shared_entries.ok());
+  EXPECT_TRUE(shared_entries->empty());
+  for (const NfsFh& fh : victims) {
+    EXPECT_EQ(server.GetAttr(fh).status().code(), StatusCode::kNotFound);
+  }
 
   ASSERT_TRUE(ffs->Sync().ok());
   auto report = ffs->Check();
