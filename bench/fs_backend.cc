@@ -9,15 +9,30 @@
 namespace discfs::bench {
 namespace {
 
-Result<std::shared_ptr<FfsVfs>> MakeVolume(const BackendOptions& opts) {
-  auto dev = std::make_shared<MemBlockDevice>(
-      4096, opts.device_mib * 1024 * 1024 / 4096, opts.latency);
+FfsMountOptions MountOptions(const BackendOptions& opts) {
+  FfsMountOptions mount;
+  mount.cache.capacity_blocks = opts.cache_blocks;
+  mount.cache.readahead_blocks = opts.readahead_blocks;
+  return mount;
+}
+
+Result<std::shared_ptr<FfsVfs>> FormatVolume(
+    std::shared_ptr<BlockDevice> device, const BackendOptions& opts) {
   FfsFormatOptions format;
   format.inode_count = opts.inode_count;
-  format.mount.cache.capacity_blocks = opts.cache_blocks;
-  format.mount.cache.readahead_blocks = opts.readahead_blocks;
-  ASSIGN_OR_RETURN(std::unique_ptr<Ffs> fs, Ffs::Format(dev, format));
+  format.mount = MountOptions(opts);
+  ASSIGN_OR_RETURN(std::unique_ptr<Ffs> fs,
+                   Ffs::Format(std::move(device), format));
   return std::make_shared<FfsVfs>(std::move(fs));
+}
+
+std::shared_ptr<BlockDevice> MakeDevice(const BackendOptions& opts) {
+  return std::make_shared<MemBlockDevice>(
+      4096, opts.device_mib * 1024 * 1024 / 4096, opts.latency);
+}
+
+Result<std::shared_ptr<FfsVfs>> MakeVolume(const BackendOptions& opts) {
+  return FormatVolume(MakeDevice(opts), opts);
 }
 
 // Splits "/a/b/c" into components.
@@ -35,7 +50,9 @@ std::vector<std::string> PathParts(const std::string& path) {
 
 class FfsBackend : public FsBackend {
  public:
-  explicit FfsBackend(std::shared_ptr<FfsVfs> vfs) : vfs_(std::move(vfs)) {}
+  FfsBackend(std::shared_ptr<FfsVfs> vfs, std::shared_ptr<BlockDevice> device,
+             FfsMountOptions mount)
+      : vfs_(std::move(vfs)), device_(std::move(device)), mount_(mount) {}
 
   std::string name() const override { return "FFS"; }
 
@@ -97,9 +114,13 @@ class FfsBackend : public FsBackend {
   }
 
   FfsVfs* vfs() { return vfs_.get(); }
+  const std::shared_ptr<BlockDevice>& device() const { return device_; }
+  const FfsMountOptions& mount() const { return mount_; }
 
  private:
   std::shared_ptr<FfsVfs> vfs_;
+  std::shared_ptr<BlockDevice> device_;  // under the block cache
+  FfsMountOptions mount_;
 };
 
 // -------------------------------------------------------- remote (shared)
@@ -341,8 +362,25 @@ class DiscfsBackend : public RemoteBackendBase {
 }  // namespace
 
 Result<std::unique_ptr<FsBackend>> MakeFfsBackend(const BackendOptions& opts) {
-  ASSIGN_OR_RETURN(std::shared_ptr<FfsVfs> vfs, MakeVolume(opts));
-  return std::unique_ptr<FsBackend>(new FfsBackend(std::move(vfs)));
+  std::shared_ptr<BlockDevice> device = MakeDevice(opts);
+  ASSIGN_OR_RETURN(std::shared_ptr<FfsVfs> vfs, FormatVolume(device, opts));
+  return std::unique_ptr<FsBackend>(
+      new FfsBackend(std::move(vfs), std::move(device), MountOptions(opts)));
+}
+
+Result<std::unique_ptr<FsBackend>> RemountFfsBackend(
+    std::unique_ptr<FsBackend> backend) {
+  auto* ffs = dynamic_cast<FfsBackend*>(backend.get());
+  if (ffs == nullptr) {
+    return InvalidArgumentError("remount needs an FFS backend");
+  }
+  RETURN_IF_ERROR(ffs->vfs()->ffs()->Sync());
+  std::shared_ptr<BlockDevice> device = ffs->device();
+  FfsMountOptions mount = ffs->mount();
+  backend.reset();  // unmount before the fresh mount reads the device
+  ASSIGN_OR_RETURN(std::unique_ptr<Ffs> fs, Ffs::Mount(device, mount));
+  return std::unique_ptr<FsBackend>(new FfsBackend(
+      std::make_shared<FfsVfs>(std::move(fs)), std::move(device), mount));
 }
 
 Result<std::unique_ptr<FsBackend>> MakeCfsNeBackend(

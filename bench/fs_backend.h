@@ -35,9 +35,9 @@ struct BackendOptions {
   // DisCFS knobs.
   size_t policy_cache_size = 128;  // paper's Figure 12 setting
   int64_t policy_cache_ttl_s = 3600;
-  // Storage data-plane knobs: block-cache capacity (0 = uncached seed
-  // path), readahead window, and an optional device latency model so the
-  // cache's I/O elision is visible in wall-clock time.
+  // Storage data-plane knobs: block-cache capacity, readahead window, and
+  // an optional device latency model so the cache's I/O elision is visible
+  // in wall-clock time.
   size_t cache_blocks = 4096;
   size_t readahead_blocks = 8;
   LatencyModel latency;
@@ -70,6 +70,10 @@ class FsBackend {
 
 // Factories. Each owns everything it needs (volume, hosts, clients).
 Result<std::unique_ptr<FsBackend>> MakeFfsBackend(const BackendOptions& opts);
+// Syncs and unmounts an FFS backend, then mounts the same device afresh:
+// same contents, empty block cache.
+Result<std::unique_ptr<FsBackend>> RemountFfsBackend(
+    std::unique_ptr<FsBackend> backend);
 Result<std::unique_ptr<FsBackend>> MakeCfsNeBackend(
     const BackendOptions& opts);
 Result<std::unique_ptr<FsBackend>> MakeDiscfsBackend(

@@ -2,19 +2,20 @@
 // over the FFS substrate, measuring what the block cache buys.
 //
 // Tiers:
-//   uncached_latency — the seed path: no block cache, device latency model
-//                      on (seek + transfer). The baseline the cache is
-//                      gated against.
-//   cached_latency   — block cache + readahead over the same modeled
-//                      device: warm sequential reads must elide device
-//                      I/O entirely (>= 3x the uncached read throughput),
-//                      and the bonnie rewrite pass must run >= 90% out of
-//                      cache.
-//   cached_fast      — latency model off: the pure software-overhead
-//                      numbers, full bonnie phase set.
-//   nfs              — concurrent 4 KiB-block reads of independent files
-//                      through NfsServer's striped locking; with the old
-//                      global mutex this cannot scale past 1x.
+//   cold_latency   — the bonnie file is written, synced, and the volume
+//                    mounted afresh over a device latency model (seek +
+//                    transfer); the first sequential read pass runs
+//                    against an empty block cache. The baseline the warm
+//                    cache is gated against.
+//   cached_latency — the same mount, now warm: sequential reads must
+//                    elide device I/O entirely (>= 3x the cold read
+//                    throughput), and the bonnie rewrite pass must run
+//                    >= 90% out of cache.
+//   cached_fast    — latency model off: the pure software-overhead
+//                    numbers, full bonnie phase set.
+//   nfs            — concurrent 4 KiB-block reads of independent files
+//                    through NfsServer's striped locking; with the old
+//                    global mutex this cannot scale past 1x.
 //
 // Every tier ends with Ffs::Check(): a write-back bug that corrupts
 // metadata fails the run, not just a test.
@@ -68,14 +69,14 @@ LatencyModel BenchLatency() {
   return m;
 }
 
-BackendOptions TierOptions(size_t file_mb, bool cached, bool latency) {
+BackendOptions TierOptions(size_t file_mb, bool latency) {
   BackendOptions opts;
   opts.device_mib = 64;
   opts.inode_count = 4096;
   // Cache sized to hold the whole bonnie file plus metadata, so the
   // rewrite pass can run fully warm.
-  opts.cache_blocks = cached ? file_mb * 1024 * 1024 / 4096 * 2 + 512 : 0;
-  opts.readahead_blocks = cached ? 8 : 0;
+  opts.cache_blocks = file_mb * 1024 * 1024 / 4096 * 2 + 512;
+  opts.readahead_blocks = 8;
   if (latency) {
     opts.latency = BenchLatency();
   }
@@ -126,35 +127,13 @@ bool MustFsck(FsBackend& backend, const char* tier) {
   return true;
 }
 
-struct UncachedResult {
-  double write_kb_s = 0;
+struct ColdResult {
   double read_kb_s = 0;
   uint64_t device_reads = 0;
-  uint64_t device_writes = 0;
 };
-
-UncachedResult RunUncachedTier(size_t file_mb) {
-  std::printf("-- tier: uncached + latency model (seed path) --\n");
-  auto backend = MakeFfsBackend(TierOptions(file_mb, false, true));
-  if (!backend.ok()) {
-    std::fprintf(stderr, "FATAL: uncached backend: %s\n",
-                 backend.status().ToString().c_str());
-    std::exit(1);
-  }
-  UncachedResult out;
-  out.write_kb_s = MustRun(**backend, BonniePhase::kSeqOutputBlock, file_mb);
-  out.read_kb_s = MustRun(**backend, BonniePhase::kSeqInputBlock, file_mb);
-  Ffs* ffs = BackendFfs(**backend);
-  out.device_reads = ffs->block_cache() == nullptr
-                         ? 0
-                         : ffs->block_cache()->stats().reads.load();
-  MustFsck(**backend, "uncached_latency");
-  return out;
-}
 
 struct CachedResult {
   double write_kb_s = 0;
-  double read_cold_kb_s = 0;
   double read_warm_kb_s = 0;
   double rewrite_kb_s = 0;
   double rewrite_hit_rate = 0;
@@ -164,49 +143,49 @@ struct CachedResult {
   uint64_t device_writes = 0;
 };
 
-CachedResult RunCachedTier(size_t file_mb) {
-  std::printf("-- tier: cached + latency model --\n");
-  auto backend = MakeFfsBackend(TierOptions(file_mb, true, true));
+// Runs cold_latency and cached_latency on one volume: write, remount with
+// an empty cache, read cold, then read warm and rewrite.
+void RunLatencyTiers(size_t file_mb, ColdResult* cold, CachedResult* cached) {
+  std::printf("-- tier: cold cache + latency model --\n");
+  auto backend = MakeFfsBackend(TierOptions(file_mb, true));
   if (!backend.ok()) {
-    std::fprintf(stderr, "FATAL: cached backend: %s\n",
+    std::fprintf(stderr, "FATAL: latency backend: %s\n",
                  backend.status().ToString().c_str());
     std::exit(1);
   }
-  Ffs* ffs = BackendFfs(**backend);
-  BlockCache* cache = ffs->block_cache();
-  if (cache == nullptr) {
-    std::fprintf(stderr, "FATAL: cached tier mounted without a cache\n");
+  cached->write_kb_s =
+      MustRun(**backend, BonniePhase::kSeqOutputBlock, file_mb);
+  backend = RemountFfsBackend(std::move(backend).value());
+  if (!backend.ok()) {
+    std::fprintf(stderr, "FATAL: remount: %s\n",
+                 backend.status().ToString().c_str());
     std::exit(1);
   }
+  BlockCache* cache = BackendFfs(**backend)->block_cache();
+  const uint64_t reads_before = cache->stats().reads.load();
+  cold->read_kb_s = MustRun(**backend, BonniePhase::kSeqInputBlock, file_mb);
+  cold->device_reads = cache->stats().reads.load() - reads_before;
+  MustFsck(**backend, "cold_latency");
 
-  CachedResult out;
-  out.write_kb_s = MustRun(**backend, BonniePhase::kSeqOutputBlock, file_mb);
-
-  // Cold read: drop the cache contents by syncing and remounting? No —
-  // the interesting "cold" here is simply the first pass (the write left
-  // it warm, as bonnie's own sequence does), so report it as-is and do a
-  // second pass for the steady-state warm number.
-  out.read_cold_kb_s =
-      MustRun(**backend, BonniePhase::kSeqInputBlock, file_mb);
-  out.read_warm_kb_s =
+  std::printf("-- tier: warm cache + latency model --\n");
+  cached->read_warm_kb_s =
       MustRun(**backend, BonniePhase::kSeqInputBlock, file_mb);
 
   // Rewrite hit rate: the file was just read, so the working set is
   // resident; every rewrite read should hit.
   cache->ResetCacheStats();
-  out.rewrite_kb_s = MustRun(**backend, BonniePhase::kSeqRewrite, file_mb);
+  cached->rewrite_kb_s = MustRun(**backend, BonniePhase::kSeqRewrite, file_mb);
   const BlockCacheStats& cs = cache->cache_stats();
   uint64_t hits = cs.hits.load();
   uint64_t misses = cs.misses.load();
-  out.rewrite_hit_rate =
+  cached->rewrite_hit_rate =
       hits + misses == 0 ? 0.0
                          : static_cast<double>(hits) / (hits + misses);
-  out.readaheads = cs.readaheads.load();
-  out.writebacks = cs.writebacks.load();
-  out.device_reads = cache->stats().reads.load();
-  out.device_writes = cache->stats().writes.load();
+  cached->readaheads = cs.readaheads.load();
+  cached->writebacks = cs.writebacks.load();
+  cached->device_reads = cache->stats().reads.load();
+  cached->device_writes = cache->stats().writes.load();
   MustFsck(**backend, "cached_latency");
-  return out;
 }
 
 struct FastResult {
@@ -215,7 +194,7 @@ struct FastResult {
 
 FastResult RunFastTier(size_t file_mb) {
   std::printf("-- tier: cached, latency model off --\n");
-  auto backend = MakeFfsBackend(TierOptions(file_mb, true, false));
+  auto backend = MakeFfsBackend(TierOptions(file_mb, false));
   if (!backend.ok()) {
     std::fprintf(stderr, "FATAL: fast backend: %s\n",
                  backend.status().ToString().c_str());
@@ -344,7 +323,7 @@ NfsResult RunNfsTier() {
   return out;
 }
 
-void WriteJson(std::FILE* f, size_t file_mb, const UncachedResult& u,
+void WriteJson(std::FILE* f, size_t file_mb, const ColdResult& cold,
                const CachedResult& c, const FastResult& fast,
                const NfsResult& nfs, double warm_read_speedup,
                bool nfs_gate_enforced) {
@@ -355,18 +334,18 @@ void WriteJson(std::FILE* f, size_t file_mb, const UncachedResult& u,
                "  \"latency_model\": {\"seek_us\": 100, \"transfer_us\": "
                "10},\n");
   std::fprintf(f,
-               "  \"uncached_latency\": {\"seq_output_block_kb_s\": %.0f, "
-               "\"seq_input_block_kb_s\": %.0f, \"fsck_clean\": true},\n",
-               u.write_kb_s, u.read_kb_s);
+               "  \"cold_latency\": {\"seq_input_block_kb_s\": %.0f, "
+               "\"device_reads\": %llu, \"fsck_clean\": true},\n",
+               cold.read_kb_s,
+               static_cast<unsigned long long>(cold.device_reads));
   std::fprintf(
       f,
       "  \"cached_latency\": {\"seq_output_block_kb_s\": %.0f, "
-      "\"seq_input_block_cold_kb_s\": %.0f, "
       "\"seq_input_block_warm_kb_s\": %.0f, \"seq_rewrite_kb_s\": %.0f, "
       "\"rewrite_hit_rate\": %.4f, \"readaheads\": %llu, "
       "\"writebacks\": %llu, \"device_reads\": %llu, "
       "\"device_writes\": %llu, \"fsck_clean\": true},\n",
-      c.write_kb_s, c.read_cold_kb_s, c.read_warm_kb_s, c.rewrite_kb_s,
+      c.write_kb_s, c.read_warm_kb_s, c.rewrite_kb_s,
       c.rewrite_hit_rate, static_cast<unsigned long long>(c.readaheads),
       static_cast<unsigned long long>(c.writebacks),
       static_cast<unsigned long long>(c.device_reads),
@@ -395,23 +374,22 @@ int Run(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_storage.json";
   const size_t file_mb = StorageFileMb();
 
-  std::printf("== Storage scaling: block cache vs the seed path ==\n");
+  std::printf("== Storage scaling: warm block cache vs a cold mount ==\n");
   std::printf("bonnie file: %zu MiB (DISCFS_STORAGE_MB to change)\n",
               file_mb);
 
-  UncachedResult uncached = RunUncachedTier(file_mb);
-  CachedResult cached = RunCachedTier(file_mb);
+  ColdResult cold;
+  CachedResult cached;
+  RunLatencyTiers(file_mb, &cold, &cached);
   FastResult fast = RunFastTier(file_mb);
   NfsResult nfs = RunNfsTier();
 
   const double warm_read_speedup =
-      uncached.read_kb_s > 0 ? cached.read_warm_kb_s / uncached.read_kb_s
-                             : 0;
+      cold.read_kb_s > 0 ? cached.read_warm_kb_s / cold.read_kb_s : 0;
   const unsigned hw = std::thread::hardware_concurrency();
   const bool nfs_gate_enforced = hw >= 4;
 
-  std::printf("warm cached read vs uncached seed path: %.1fx\n",
-              warm_read_speedup);
+  std::printf("warm cached read vs cold mount: %.1fx\n", warm_read_speedup);
   std::printf("rewrite cache hit rate: %.1f%%\n",
               cached.rewrite_hit_rate * 100);
 
@@ -420,15 +398,15 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
     return 1;
   }
-  WriteJson(f, file_mb, uncached, cached, fast, nfs, warm_read_speedup,
+  WriteJson(f, file_mb, cold, cached, fast, nfs, warm_read_speedup,
             nfs_gate_enforced);
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
 
   if (warm_read_speedup < 3.0) {
     std::fprintf(stderr,
-                 "FATAL: warm cached read only %.2fx the uncached seed "
-                 "path — the cache is not eliding device I/O\n",
+                 "FATAL: warm cached read only %.2fx the cold mount — "
+                 "the cache is not eliding device I/O\n",
                  warm_read_speedup);
     return 1;
   }

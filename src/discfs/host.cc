@@ -106,9 +106,9 @@ Result<std::unique_ptr<DiscfsHost>> DiscfsHost::Start(
   if (!identity.rand_bytes) {
     identity.rand_bytes = [](size_t n) { return SysRandomBytes(n); };
   }
-  // If the volume is FFS-backed with a block cache, export its counters
-  // through the server's registry too (grab the pointer before the vfs
-  // moves into the server; the server keeps the vfs alive).
+  // If the volume is FFS-backed, export its block-cache counters through
+  // the server's registry too (grab the pointer before the vfs moves into
+  // the server; the server keeps the vfs alive).
   BlockCache* block_cache = nullptr;
   if (auto* ffs_vfs = dynamic_cast<FfsVfs*>(vfs.get())) {
     block_cache = ffs_vfs->ffs()->block_cache();

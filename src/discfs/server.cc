@@ -103,32 +103,6 @@ void DiscfsServer::ClassifyProcPriorities() {
   // middle tier, kNamespace.
 }
 
-Status DiscfsServer::ServeConnection(std::unique_ptr<MsgStream> transport) {
-  return ServeConnection(std::move(transport), ServeOptions{});
-}
-
-Status DiscfsServer::ServeConnection(std::unique_ptr<MsgStream> transport,
-                                     const ServeOptions& options) {
-  ChannelIdentity identity{config_.server_key, config_.rand_bytes};
-  ASSIGN_OR_RETURN(std::unique_ptr<SecureChannel> channel,
-                   SecureChannel::ServerHandshake(std::move(transport),
-                                                  identity));
-  RpcContext ctx;
-  ctx.peer_key = channel->peer_key();
-  dispatcher_.ServeConnection(*channel, ctx, options);
-  return OkStatus();
-}
-
-Result<std::shared_ptr<RpcConnection>> DiscfsServer::ServeOnLoop(
-    std::unique_ptr<MsgStream> transport, const RpcConnection::Options& options,
-    RpcConnection::ClosedFn on_closed) {
-  ChannelIdentity identity{config_.server_key, config_.rand_bytes};
-  ASSIGN_OR_RETURN(std::unique_ptr<SecureChannel> channel,
-                   SecureChannel::ServerHandshake(std::move(transport),
-                                                  identity));
-  return ServeChannelOnLoop(std::move(channel), options, std::move(on_closed));
-}
-
 Result<std::shared_ptr<RpcConnection>> DiscfsServer::ServeChannelOnLoop(
     std::unique_ptr<SecureChannel> channel,
     const RpcConnection::Options& options, RpcConnection::ClosedFn on_closed) {

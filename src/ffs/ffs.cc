@@ -17,6 +17,8 @@ constexpr uint32_t kMagic = 0xD15CF501;
 constexpr uint32_t kInodeSize = 128;
 constexpr uint32_t kDirEntrySize = 64;
 constexpr size_t kDirectBlocks = 10;
+// Bound on the in-memory inode cache.
+constexpr size_t kInodeCacheEntries = 1024;
 
 uint32_t LoadU32(const uint8_t* p) {
   uint32_t v;
@@ -221,40 +223,14 @@ struct Ffs::InodeCache {
 };
 
 Ffs::Ffs(std::shared_ptr<BlockDevice> device, const FfsMountOptions& options)
-    : now_([] { return SystemClock::Get()->NowUnix(); }) {
-  if (options.cache.capacity_blocks > 0) {
-    auto cache = std::make_shared<BlockCache>(std::move(device),
-                                              options.cache);
-    cache_ = cache.get();
-    dev_ = std::move(cache);
-  } else {
-    dev_ = std::move(device);
-  }
-  if (options.inode_cache_entries > 0) {
-    icache_ = std::make_unique<InodeCache>(options.inode_cache_entries);
-  }
-}
+    : cache_(std::make_unique<BlockCache>(std::move(device), options.cache)),
+      now_([] { return SystemClock::Get()->NowUnix(); }),
+      icache_(std::make_unique<InodeCache>(kInodeCacheEntries)) {}
 
-// ~BlockCache (via dev_) flushes any remaining dirty blocks.
+// ~BlockCache flushes any remaining dirty blocks.
 Ffs::~Ffs() = default;
 
-Status Ffs::Sync() {
-  if (cache_ != nullptr) {
-    return cache_->Sync();
-  }
-  return OkStatus();
-}
-
-Status Ffs::ModifyBlock(uint64_t block,
-                        const std::function<void(uint8_t*)>& fn) {
-  if (cache_ != nullptr) {
-    return cache_->Modify(block, fn);
-  }
-  std::vector<uint8_t> buf(dev_->block_size());
-  RETURN_IF_ERROR(dev_->Read(block, buf.data()));
-  fn(buf.data());
-  return dev_->Write(block, buf.data());
-}
+Status Ffs::Sync() { return cache_->Sync(); }
 
 Result<std::unique_ptr<Ffs>> Ffs::Format(std::shared_ptr<BlockDevice> device,
                                          const FfsFormatOptions& options) {
@@ -301,7 +277,7 @@ Result<std::unique_ptr<Ffs>> Ffs::Format(std::shared_ptr<BlockDevice> device,
   // Zero all metadata blocks.
   std::vector<uint8_t> zero(bs, 0);
   for (uint64_t b = 0; b < sb->data_start; ++b) {
-    RETURN_IF_ERROR(fs->dev_->Write(b, zero.data()));
+    RETURN_IF_ERROR(fs->cache_->Write(b, zero.data()));
   }
   fs->sb_ = std::move(sb);
 
@@ -326,11 +302,11 @@ Result<std::unique_ptr<Ffs>> Ffs::Mount(std::shared_ptr<BlockDevice> device,
 }
 
 Status Ffs::LoadSuperblock() {
-  std::vector<uint8_t> block(dev_->block_size());
-  RETURN_IF_ERROR(dev_->Read(0, block.data()));
+  std::vector<uint8_t> block(cache_->block_size());
+  RETURN_IF_ERROR(cache_->Read(0, block.data()));
   ASSIGN_OR_RETURN(Superblock sb, Superblock::Deserialize(block.data()));
-  if (sb.block_size != dev_->block_size() ||
-      sb.total_blocks > dev_->block_count()) {
+  if (sb.block_size != cache_->block_size() ||
+      sb.total_blocks > cache_->block_count()) {
     return DataLossError("superblock does not match device geometry");
   }
   sb_ = std::make_unique<Superblock>(sb);
@@ -339,7 +315,7 @@ Status Ffs::LoadSuperblock() {
 
 Status Ffs::WriteSuperblock() {
   const Superblock& sb = *sb_;
-  return ModifyBlock(0, [&sb](uint8_t* block) { sb.Serialize(block); });
+  return cache_->Modify(0, [&sb](uint8_t* block) { sb.Serialize(block); });
 }
 
 // ----------------------------------------------------------------- bitmaps
@@ -349,7 +325,7 @@ Result<bool> Ffs::BitmapGet(uint64_t bitmap_start, uint64_t index) {
   uint64_t block = bitmap_start + index / (static_cast<uint64_t>(bs) * 8);
   uint32_t bit = static_cast<uint32_t>(index % (static_cast<uint64_t>(bs) * 8));
   std::vector<uint8_t> buf(bs);
-  RETURN_IF_ERROR(dev_->Read(block, buf.data()));
+  RETURN_IF_ERROR(cache_->Read(block, buf.data()));
   return (buf[bit / 8] >> (bit % 8)) & 1;
 }
 
@@ -358,7 +334,7 @@ Status Ffs::BitmapSet(uint64_t bitmap_start, uint64_t index, bool value) {
   uint64_t block = bitmap_start + index / (static_cast<uint64_t>(bs) * 8);
   uint32_t bit = static_cast<uint32_t>(index % (static_cast<uint64_t>(bs) * 8));
   uint8_t mask = static_cast<uint8_t>(1 << (bit % 8));
-  return ModifyBlock(block, [bit, mask, value](uint8_t* buf) {
+  return cache_->Modify(block, [bit, mask, value](uint8_t* buf) {
     if (value) {
       buf[bit / 8] |= mask;
     } else {
@@ -379,7 +355,7 @@ Result<std::optional<uint64_t>> Ffs::BitmapFindFree(uint64_t bitmap_start,
   for (uint64_t attempt = 0; attempt < count; ) {
     uint64_t index = (cursor + attempt) % count;
     uint64_t block = bitmap_start + index / bits_per_block;
-    RETURN_IF_ERROR(dev_->Read(block, buf.data()));
+    RETURN_IF_ERROR(cache_->Read(block, buf.data()));
     // Scan this bitmap block from `index`.
     uint64_t block_first = (index / bits_per_block) * bits_per_block;
     uint64_t start_bit = index - block_first;
@@ -401,38 +377,31 @@ Result<Ffs::DiskInode> Ffs::ReadInode(InodeNum inode) {
   if (inode == 0 || inode >= sb_->inode_count) {
     return InvalidArgumentError(StrPrintf("inode %u out of range", inode));
   }
-  if (icache_ != nullptr) {
-    DiskInode cached;
-    if (icache_->Get(inode, &cached)) {
-      return cached;
-    }
+  DiskInode cached;
+  if (icache_->Get(inode, &cached)) {
+    return cached;
   }
   const uint32_t inodes_per_block = sb_->block_size / kInodeSize;
   uint64_t block = sb_->inode_table_start + inode / inodes_per_block;
   uint32_t offset = (inode % inodes_per_block) * kInodeSize;
   std::vector<uint8_t> buf(sb_->block_size);
-  RETURN_IF_ERROR(dev_->Read(block, buf.data()));
+  RETURN_IF_ERROR(cache_->Read(block, buf.data()));
   DiskInode node = DiskInode::Deserialize(buf.data() + offset);
-  if (icache_ != nullptr) {
-    // Fill without overwriting: a concurrent WriteInode may have installed
-    // a newer copy than the block we just read — that copy wins.
-    DiskInode winner;
-    icache_->Put(inode, node, /*overwrite=*/false, &winner);
-    return winner;
-  }
-  return node;
+  // Fill without overwriting: a concurrent WriteInode may have installed a
+  // newer copy than the block we just read — that copy wins.
+  DiskInode winner;
+  icache_->Put(inode, node, /*overwrite=*/false, &winner);
+  return winner;
 }
 
 Status Ffs::WriteInode(InodeNum inode, const DiskInode& node) {
   const uint32_t inodes_per_block = sb_->block_size / kInodeSize;
   uint64_t block = sb_->inode_table_start + inode / inodes_per_block;
   uint32_t offset = (inode % inodes_per_block) * kInodeSize;
-  if (icache_ != nullptr) {
-    icache_->Put(inode, node, /*overwrite=*/true, nullptr);
-  }
+  icache_->Put(inode, node, /*overwrite=*/true, nullptr);
   // Patch only this inode's 128 bytes so concurrent updates of other
   // inodes sharing the block cannot be lost.
-  return ModifyBlock(
+  return cache_->Modify(
       block, [&node, offset](uint8_t* buf) { node.Serialize(buf + offset); });
 }
 
@@ -485,7 +454,7 @@ Result<uint64_t> Ffs::AllocBlock() {
   // Zero on allocation: freed blocks may hold stale data, and freshly
   // mapped holes must read as zeros.
   std::vector<uint8_t> zero(sb_->block_size, 0);
-  RETURN_IF_ERROR(dev_->Write(block, zero.data()));
+  RETURN_IF_ERROR(cache_->Write(block, zero.data()));
   sb_->free_blocks--;
   RETURN_IF_ERROR(WriteSuperblock());
   return block;
@@ -510,12 +479,12 @@ Result<uint64_t> Ffs::BMap(DiskInode& node, uint64_t file_block, bool allocate,
 
   auto load_ptr = [&](uint64_t block, uint64_t idx) -> Result<uint32_t> {
     std::vector<uint8_t> buf(sb_->block_size);
-    RETURN_IF_ERROR(dev_->Read(block, buf.data()));
+    RETURN_IF_ERROR(cache_->Read(block, buf.data()));
     return LoadU32(buf.data() + 4 * idx);
   };
   auto store_ptr = [&](uint64_t block, uint64_t idx,
                        uint32_t value) -> Status {
-    return ModifyBlock(block, [idx, value](uint8_t* buf) {
+    return cache_->Modify(block, [idx, value](uint8_t* buf) {
       StoreU32(buf + 4 * idx, value);
     });
   };
@@ -592,7 +561,7 @@ Status Ffs::FreeAllBlocks(DiskInode& node) {
   }
   auto free_indirect = [&](uint32_t block) -> Status {
     std::vector<uint8_t> buf(sb_->block_size);
-    RETURN_IF_ERROR(dev_->Read(block, buf.data()));
+    RETURN_IF_ERROR(cache_->Read(block, buf.data()));
     for (uint64_t i = 0; i < ppb; ++i) {
       uint32_t ptr = LoadU32(buf.data() + 4 * i);
       if (ptr != 0) {
@@ -607,7 +576,7 @@ Status Ffs::FreeAllBlocks(DiskInode& node) {
   }
   if (node.double_indirect != 0) {
     std::vector<uint8_t> buf(sb_->block_size);
-    RETURN_IF_ERROR(dev_->Read(node.double_indirect, buf.data()));
+    RETURN_IF_ERROR(cache_->Read(node.double_indirect, buf.data()));
     for (uint64_t i = 0; i < ppb; ++i) {
       uint32_t l1 = LoadU32(buf.data() + 4 * i);
       if (l1 != 0) {
@@ -645,17 +614,17 @@ Status Ffs::TruncateTo(InodeNum inode, DiskInode& node, uint64_t new_size) {
         const uint64_t ppb = bs / 4;
         uint64_t rel = fb - kDirectBlocks;
         if (rel < ppb) {
-          RETURN_IF_ERROR(ModifyBlock(node.indirect, [rel](uint8_t* buf) {
+          RETURN_IF_ERROR(cache_->Modify(node.indirect, [rel](uint8_t* buf) {
             StoreU32(buf + 4 * rel, 0);
           }));
         } else {
           rel -= ppb;
           std::vector<uint8_t> buf(bs);
-          RETURN_IF_ERROR(dev_->Read(node.double_indirect, buf.data()));
+          RETURN_IF_ERROR(cache_->Read(node.double_indirect, buf.data()));
           uint32_t l1 = LoadU32(buf.data() + 4 * (rel / ppb));
           if (l1 != 0) {
             uint64_t slot = rel % ppb;
-            RETURN_IF_ERROR(ModifyBlock(l1, [slot](uint8_t* buf2) {
+            RETURN_IF_ERROR(cache_->Modify(l1, [slot](uint8_t* buf2) {
               StoreU32(buf2 + 4 * slot, 0);
             }));
           }
@@ -667,7 +636,7 @@ Status Ffs::TruncateTo(InodeNum inode, DiskInode& node, uint64_t new_size) {
     ASSIGN_OR_RETURN(uint64_t block, BMap(node, new_size / bs, false, dirty));
     if (block != 0) {
       uint32_t tail = static_cast<uint32_t>(new_size % bs);
-      RETURN_IF_ERROR(ModifyBlock(block, [tail, bs](uint8_t* buf) {
+      RETURN_IF_ERROR(cache_->Modify(block, [tail, bs](uint8_t* buf) {
         std::memset(buf + tail, 0, bs - tail);
       }));
     }
@@ -699,7 +668,7 @@ Result<size_t> Ffs::ReadInternal(DiskInode& node, uint64_t offset, size_t len,
       return len;
     }
     std::vector<uint8_t> buf(bs);
-    RETURN_IF_ERROR(dev_->Read(block, buf.data()));
+    RETURN_IF_ERROR(cache_->Read(block, buf.data()));
     std::memcpy(out, buf.data() + offset % bs, len);
     return len;
   }
@@ -721,13 +690,7 @@ Result<size_t> Ffs::ReadInternal(DiskInode& node, uint64_t offset, size_t len,
                       blocks.size() == mapped.size();
   std::vector<uint8_t> bounce(direct ? 0 : blocks.size() * bs);
   uint8_t* extent = direct ? out : bounce.data();
-  if (cache_ != nullptr) {
-    RETURN_IF_ERROR(cache_->ReadBlocks(blocks, extent));
-  } else {
-    for (size_t i = 0; i < blocks.size(); ++i) {
-      RETURN_IF_ERROR(dev_->Read(blocks[i], extent + i * bs));
-    }
-  }
+  RETURN_IF_ERROR(cache_->ReadBlocks(blocks, extent));
   if (direct) {
     return len;
   }
@@ -760,12 +723,13 @@ Result<size_t> Ffs::WriteInternal(InodeNum inode, DiskInode& node,
     size_t take = std::min<size_t>(len - done, bs - in_block);
     ASSIGN_OR_RETURN(uint64_t block, BMap(node, fb, true, dirty));
     if (take == bs) {
-      RETURN_IF_ERROR(dev_->Write(block, data + done));
+      RETURN_IF_ERROR(cache_->Write(block, data + done));
     } else {
       const uint8_t* src = data + done;
-      RETURN_IF_ERROR(ModifyBlock(block, [src, in_block, take](uint8_t* buf) {
-        std::memcpy(buf + in_block, src, take);
-      }));
+      RETURN_IF_ERROR(
+          cache_->Modify(block, [src, in_block, take](uint8_t* buf) {
+            std::memcpy(buf + in_block, src, take);
+          }));
     }
     done += take;
   }
@@ -796,7 +760,7 @@ Result<std::optional<std::pair<uint32_t, DirEntry>>> Ffs::FindEntry(
       if (block == 0) {
         std::memset(buf.data(), 0, bs);
       } else {
-        RETURN_IF_ERROR(dev_->Read(block, buf.data()));
+        RETURN_IF_ERROR(cache_->Read(block, buf.data()));
       }
     }
     const uint8_t* e =
@@ -841,7 +805,7 @@ Status Ffs::AddEntry(InodeNum dir, DiskInode& dir_node,
       if (block == 0) {
         std::memset(buf.data(), 0, sb_->block_size);
       } else {
-        RETURN_IF_ERROR(dev_->Read(block, buf.data()));
+        RETURN_IF_ERROR(cache_->Read(block, buf.data()));
       }
     }
     if (LoadU32(buf.data() + (slot % entries_per_block) * kDirEntrySize) ==
@@ -873,7 +837,7 @@ Status Ffs::RemoveEntrySlot(DiskInode& dir_node, uint32_t slot) {
     return InternalError("directory slot in a hole");
   }
   uint32_t in_block = (slot % entries_per_block) * kDirEntrySize;
-  return ModifyBlock(block, [in_block](uint8_t* buf) {
+  return cache_->Modify(block, [in_block](uint8_t* buf) {
     std::memset(buf + in_block, 0, kDirEntrySize);
   });
 }
@@ -891,7 +855,7 @@ Result<bool> Ffs::DirIsEmpty(const DiskInode& dir_node) {
       if (block == 0) {
         std::memset(buf.data(), 0, sb_->block_size);
       } else {
-        RETURN_IF_ERROR(dev_->Read(block, buf.data()));
+        RETURN_IF_ERROR(cache_->Read(block, buf.data()));
       }
     }
     if (LoadU32(buf.data() + (slot % entries_per_block) * kDirEntrySize) !=
@@ -900,6 +864,26 @@ Result<bool> Ffs::DirIsEmpty(const DiskInode& dir_node) {
     }
   }
   return true;
+}
+
+Result<bool> Ffs::DirIsWithin(InodeNum dir, InodeNum top) {
+  // Directories have no ".." entries, so walk down from `top`. Directories
+  // cannot be hard-linked, so the walk visits each one once.
+  std::deque<InodeNum> queue{top};
+  while (!queue.empty()) {
+    InodeNum current = queue.front();
+    queue.pop_front();
+    if (current == dir) {
+      return true;
+    }
+    ASSIGN_OR_RETURN(std::vector<DirEntry> entries, ReadDir(current));
+    for (const DirEntry& e : entries) {
+      if (e.type == FileType::kDirectory) {
+        queue.push_back(e.inode);
+      }
+    }
+  }
+  return false;
 }
 
 // --------------------------------------------------------------- public API
@@ -1102,6 +1086,16 @@ Status Ffs::Rename(InodeNum from_dir, const std::string& from_name,
   if (!source.has_value()) {
     return NotFoundError("no entry named " + from_name);
   }
+  // A directory moved into its own subtree would cut that subtree off the
+  // root. Within one parent it cannot happen, so only cross-directory
+  // moves pay for the walk.
+  if (source->second.type == FileType::kDirectory && to_dir != from_dir) {
+    ASSIGN_OR_RETURN(bool cycle, DirIsWithin(to_dir, source->second.inode));
+    if (cycle) {
+      return InvalidArgumentError(
+          "cannot move a directory into its own subtree");
+    }
+  }
 
   ASSIGN_OR_RETURN(DiskInode to_node, ReadInode(to_dir));
   ASSIGN_OR_RETURN(auto dest, FindEntry(to_node, to_name));
@@ -1175,7 +1169,7 @@ Result<std::vector<DirEntry>> Ffs::ReadDir(InodeNum dir) {
       if (block == 0) {
         std::memset(buf.data(), 0, sb_->block_size);
       } else {
-        RETURN_IF_ERROR(dev_->Read(block, buf.data()));
+        RETURN_IF_ERROR(cache_->Read(block, buf.data()));
       }
     }
     const uint8_t* e =
@@ -1238,7 +1232,7 @@ Result<FsckReport> Ffs::Check() {
     std::vector<uint8_t> buf(sb_->block_size);
     if (node.indirect != 0) {
       claim_block(node.indirect, ino);
-      RETURN_IF_ERROR(dev_->Read(node.indirect, buf.data()));
+      RETURN_IF_ERROR(cache_->Read(node.indirect, buf.data()));
       for (uint64_t i = 0; i < ppb; ++i) {
         claim_block(LoadU32(buf.data() + 4 * i), ino);
       }
@@ -1246,14 +1240,14 @@ Result<FsckReport> Ffs::Check() {
     if (node.double_indirect != 0) {
       claim_block(node.double_indirect, ino);
       std::vector<uint8_t> outer(sb_->block_size);
-      RETURN_IF_ERROR(dev_->Read(node.double_indirect, outer.data()));
+      RETURN_IF_ERROR(cache_->Read(node.double_indirect, outer.data()));
       for (uint64_t i = 0; i < ppb; ++i) {
         uint32_t l1 = LoadU32(outer.data() + 4 * i);
         if (l1 == 0) {
           continue;
         }
         claim_block(l1, ino);
-        RETURN_IF_ERROR(dev_->Read(l1, buf.data()));
+        RETURN_IF_ERROR(cache_->Read(l1, buf.data()));
         for (uint64_t j = 0; j < ppb; ++j) {
           claim_block(LoadU32(buf.data() + 4 * j), ino);
         }

@@ -16,8 +16,8 @@
 // reuse, so NFS file handles (inode, generation) never resurrect — the
 // handle scheme §5 of the paper borrows from 4.4BSD.
 //
-// Concurrency contract: Ffs sits on a write-back BlockCache and may be
-// called from many threads as long as the caller serializes per-object
+// Concurrency contract: Ffs always sits on a write-back BlockCache and may
+// be called from many threads as long as the caller serializes per-object
 // access the way NfsServer does:
 //   - Create and Remove exclusive per parent directory (Remove also
 //     exclusive on the target inode); namespace mutations in different
@@ -29,8 +29,7 @@
 // superblock counters) stays serialized by alloc_mu_, and the inode cache
 // is sharded + write-through. Multi-block reads map the whole extent
 // first and fetch it through BlockCache::ReadBlocks, which fills its
-// misses in parallel. Check() requires a quiesced volume. Mounting with
-// the cache disabled (cache.capacity_blocks = 0) is single-threaded only.
+// misses in parallel. Check() requires a quiesced volume.
 #ifndef DISCFS_SRC_FFS_FFS_H_
 #define DISCFS_SRC_FFS_FFS_H_
 
@@ -95,13 +94,8 @@ struct StatFsInfo {
 };
 
 struct FfsMountOptions {
-  // Block cache between Ffs and the device. `cache.capacity_blocks = 0`
-  // disables caching entirely — the uncached seed path, kept for the
-  // benchmark baseline; only safe single-threaded.
+  // The block cache every mount reads and writes the device through.
   BlockCacheOptions cache;
-  // Bound on the in-memory inode cache (write-through, sharded);
-  // 0 disables it.
-  size_t inode_cache_entries = 1024;
 };
 
 struct FfsFormatOptions {
@@ -173,9 +167,9 @@ class Ffs {
   // Durability barrier: flushes every dirty cached block to the device.
   Status Sync();
 
-  // The write-back cache between Ffs and the device, or nullptr when
-  // mounted uncached. Exposed for stats and crash-simulation tests.
-  BlockCache* block_cache() const { return cache_; }
+  // The write-back cache between Ffs and the device (never null).
+  // Exposed for stats and crash-simulation tests.
+  BlockCache* block_cache() const { return cache_.get(); }
 
   // Full-volume consistency check (reachability, bitmaps, link counts).
   Result<FsckReport> Check();
@@ -193,11 +187,6 @@ class Ffs {
   Status LoadSuperblock();
   // Requires alloc_mu_ held (or a single-threaded mount/format path).
   Status WriteSuperblock();
-
-  // Atomic read-modify-write of one block: `fn` mutates the cached copy
-  // under the cache shard lock. Uncached mounts fall back to
-  // read+mutate+write (hence single-threaded only).
-  Status ModifyBlock(uint64_t block, const std::function<void(uint8_t*)>& fn);
 
   Result<DiskInode> ReadInode(InodeNum inode);
   Status WriteInode(InodeNum inode, const DiskInode& node);
@@ -221,6 +210,8 @@ class Ffs {
                   InodeNum target, FileType type);
   Status RemoveEntrySlot(DiskInode& dir_node, uint32_t slot);
   Result<bool> DirIsEmpty(const DiskInode& dir_node);
+  // True when directory `dir` is `top` or lies anywhere below it.
+  Result<bool> DirIsWithin(InodeNum dir, InodeNum top);
 
   Result<size_t> ReadInternal(DiskInode& node, uint64_t offset, size_t len,
                               uint8_t* out);
@@ -236,10 +227,9 @@ class Ffs {
   Result<std::optional<uint64_t>> BitmapFindFree(uint64_t bitmap_start,
                                                  uint64_t count);
 
-  // `dev_` is what all I/O goes through: the BlockCache when enabled
-  // (cache_ points into it), otherwise the raw device.
-  std::shared_ptr<BlockDevice> dev_;
-  BlockCache* cache_ = nullptr;
+  // All I/O goes through the cache; sub-block updates use its atomic
+  // Modify.
+  std::unique_ptr<BlockCache> cache_;
   std::function<int64_t()> now_;
   std::unique_ptr<Superblock> sb_;
   // Serializes allocation state: bitmap find/set, superblock counters and

@@ -3,7 +3,7 @@
 // Chunks are immutable blobs named by the SHA-256 of their content (64
 // lowercase hex chars) and stored as regular files in the backing Ffs via
 // NfsServer's direct entry points — never raw Vfs calls, because Ffs's
-// concurrency contract requires the NfsServer ns_mu_/stripe serialization.
+// concurrency contract requires NfsServer's inode-stripe serialization.
 //
 // On-disk layout (Ffs caps names at 58 bytes, shorter than a full hex id,
 // so the id is split and also embedded verbatim in the chunk header):

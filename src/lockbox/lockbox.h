@@ -17,7 +17,7 @@
 // Locking: per-handle mutex stripes make the sidecar read-modify-write of
 // Grant/Revoke/Put atomic. The stripe is acquired before any ChunkStore or
 // NfsServer call, so the global order is
-//   lockbox stripe -> chunk shard -> nfs ns_mu_ -> inode stripe
+//   lockbox stripe -> chunk shard -> nfs inode stripes
 // and never the reverse.
 #ifndef DISCFS_SRC_LOCKBOX_LOCKBOX_H_
 #define DISCFS_SRC_LOCKBOX_LOCKBOX_H_

@@ -40,15 +40,21 @@ Status NfsServer::RunHook(NfsProc proc, const NfsFh& fh, uint32_t needed,
   return access_hook_(request);
 }
 
+NfsServer::AllStripes NfsServer::LockAllStripes() {
+  AllStripes locks;
+  for (size_t i = 0; i < kInodeStripes; ++i) {
+    locks[i] = std::unique_lock<std::shared_mutex>(inode_stripes_[i]);
+  }
+  return locks;
+}
+
 Result<NfsFattr> NfsServer::GetRoot() {
-  std::shared_lock<std::shared_mutex> ns(ns_mu_);
   std::shared_lock<std::shared_mutex> stripe(StripeFor(vfs_->root()));
   ASSIGN_OR_RETURN(InodeAttr attr, vfs_->GetAttr(vfs_->root()));
   return FattrFromInode(attr);
 }
 
 Result<NfsFattr> NfsServer::GetAttr(const NfsFh& fh) {
-  std::shared_lock<std::shared_mutex> ns(ns_mu_);
   std::shared_lock<std::shared_mutex> stripe(StripeFor(fh.inode));
   ASSIGN_OR_RETURN(InodeAttr attr, CheckFh(fh));
   return FattrFromInode(attr);
@@ -56,7 +62,6 @@ Result<NfsFattr> NfsServer::GetAttr(const NfsFh& fh) {
 
 Result<NfsFattr> NfsServer::SetAttr(const NfsFh& fh,
                                     const SetAttrRequest& req) {
-  std::shared_lock<std::shared_mutex> ns(ns_mu_);
   std::unique_lock<std::shared_mutex> stripe(StripeFor(fh.inode));
   RETURN_IF_ERROR(CheckFh(fh).status());
   RETURN_IF_ERROR(vfs_->SetAttr(fh.inode, req));
@@ -65,7 +70,6 @@ Result<NfsFattr> NfsServer::SetAttr(const NfsFh& fh,
 }
 
 Result<NfsFattr> NfsServer::Lookup(const NfsFh& dir, const std::string& name) {
-  std::shared_lock<std::shared_mutex> ns(ns_mu_);
   std::shared_lock<std::shared_mutex> stripe(StripeFor(dir.inode));
   RETURN_IF_ERROR(CheckFh(dir).status());
   ASSIGN_OR_RETURN(InodeAttr attr, vfs_->Lookup(dir.inode, name));
@@ -74,7 +78,6 @@ Result<NfsFattr> NfsServer::Lookup(const NfsFh& dir, const std::string& name) {
 
 Result<Bytes> NfsServer::Read(const NfsFh& fh, uint64_t offset,
                               uint32_t count) {
-  std::shared_lock<std::shared_mutex> ns(ns_mu_);
   std::shared_lock<std::shared_mutex> stripe(StripeFor(fh.inode));
   RETURN_IF_ERROR(CheckFh(fh).status());
   if (count > kMaxReadCount) {
@@ -88,7 +91,6 @@ Result<Bytes> NfsServer::Read(const NfsFh& fh, uint64_t offset,
 
 Result<NfsFattr> NfsServer::Write(const NfsFh& fh, uint64_t offset,
                                   const Bytes& data) {
-  std::shared_lock<std::shared_mutex> ns(ns_mu_);
   std::unique_lock<std::shared_mutex> stripe(StripeFor(fh.inode));
   RETURN_IF_ERROR(CheckFh(fh).status());
   ASSIGN_OR_RETURN(size_t n,
@@ -105,7 +107,6 @@ Result<NfsFattr> NfsServer::Create(const NfsFh& dir, const std::string& name,
   // Per-directory: creates in other directories, and data ops on other
   // inodes, proceed in parallel. The new inode needs no stripe (see the
   // locking notes in nfs_server.h).
-  std::shared_lock<std::shared_mutex> ns(ns_mu_);
   std::unique_lock<std::shared_mutex> stripe(StripeFor(dir.inode));
   RETURN_IF_ERROR(CheckFh(dir).status());
   ASSIGN_OR_RETURN(InodeAttr attr, vfs_->Create(dir.inode, name, mode));
@@ -114,7 +115,7 @@ Result<NfsFattr> NfsServer::Create(const NfsFh& dir, const std::string& name,
 
 Result<NfsFattr> NfsServer::Mkdir(const NfsFh& dir, const std::string& name,
                                   uint32_t mode) {
-  std::unique_lock<std::shared_mutex> ns(ns_mu_);
+  AllStripes all = LockAllStripes();
   RETURN_IF_ERROR(CheckFh(dir).status());
   ASSIGN_OR_RETURN(InodeAttr attr, vfs_->Mkdir(dir.inode, name, mode));
   return FattrFromInode(attr);
@@ -126,7 +127,6 @@ Status NfsServer::Remove(const NfsFh& dir, const std::string& name) {
   // writers. Resolve the target first, lock both stripes, then confirm
   // the name still maps to it (a concurrent remove + create may have
   // rebound it while nothing was held).
-  std::shared_lock<std::shared_mutex> ns(ns_mu_);
   for (;;) {
     InodeNum target = 0;
     {
@@ -154,14 +154,14 @@ Status NfsServer::Remove(const NfsFh& dir, const std::string& name) {
 }
 
 Status NfsServer::Rmdir(const NfsFh& dir, const std::string& name) {
-  std::unique_lock<std::shared_mutex> ns(ns_mu_);
+  AllStripes all = LockAllStripes();
   RETURN_IF_ERROR(CheckFh(dir).status());
   return vfs_->Rmdir(dir.inode, name);
 }
 
 Status NfsServer::Rename(const NfsFh& from_dir, const std::string& from_name,
                          const NfsFh& to_dir, const std::string& to_name) {
-  std::unique_lock<std::shared_mutex> ns(ns_mu_);
+  AllStripes all = LockAllStripes();
   RETURN_IF_ERROR(CheckFh(from_dir).status());
   RETURN_IF_ERROR(CheckFh(to_dir).status());
   return vfs_->Rename(from_dir.inode, from_name, to_dir.inode, to_name);
@@ -169,7 +169,7 @@ Status NfsServer::Rename(const NfsFh& from_dir, const std::string& from_name,
 
 Status NfsServer::Link(const NfsFh& dir, const std::string& name,
                        const NfsFh& target) {
-  std::unique_lock<std::shared_mutex> ns(ns_mu_);
+  AllStripes all = LockAllStripes();
   RETURN_IF_ERROR(CheckFh(dir).status());
   RETURN_IF_ERROR(CheckFh(target).status());
   return vfs_->Link(dir.inode, name, target.inode);
@@ -177,21 +177,19 @@ Status NfsServer::Link(const NfsFh& dir, const std::string& name,
 
 Result<NfsFattr> NfsServer::Symlink(const NfsFh& dir, const std::string& name,
                                     const std::string& target) {
-  std::unique_lock<std::shared_mutex> ns(ns_mu_);
+  AllStripes all = LockAllStripes();
   RETURN_IF_ERROR(CheckFh(dir).status());
   ASSIGN_OR_RETURN(InodeAttr attr, vfs_->Symlink(dir.inode, name, target));
   return FattrFromInode(attr);
 }
 
 Result<std::string> NfsServer::ReadLink(const NfsFh& fh) {
-  std::shared_lock<std::shared_mutex> ns(ns_mu_);
   std::shared_lock<std::shared_mutex> stripe(StripeFor(fh.inode));
   RETURN_IF_ERROR(CheckFh(fh).status());
   return vfs_->ReadLink(fh.inode);
 }
 
 Result<std::vector<NfsDirEntry>> NfsServer::ReadDir(const NfsFh& dir) {
-  std::shared_lock<std::shared_mutex> ns(ns_mu_);
   std::shared_lock<std::shared_mutex> stripe(StripeFor(dir.inode));
   RETURN_IF_ERROR(CheckFh(dir).status());
   ASSIGN_OR_RETURN(std::vector<DirEntry> raw, vfs_->ReadDir(dir.inode));
@@ -211,7 +209,7 @@ Result<std::vector<NfsDirEntry>> NfsServer::ReadDir(const NfsFh& dir) {
 }
 
 Result<NfsStatFs> NfsServer::StatFs() {
-  std::shared_lock<std::shared_mutex> ns(ns_mu_);
+  // No stripe: the volume counters are read under Ffs's allocator lock.
   ASSIGN_OR_RETURN(StatFsInfo info, vfs_->StatFs());
   NfsStatFs out;
   out.block_size = info.block_size;

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 
 #include "src/keynote/lattice.h"
@@ -78,25 +79,29 @@ class NfsServer {
   std::shared_ptr<Vfs> vfs_;
   AccessHook access_hook_;
 
-  // Two-level locking, so independent files and directories proceed in
-  // parallel on the worker pool:
-  //   1. ns_mu_ — exclusive only for Mkdir/Rmdir/Rename/Link/Symlink
-  //      (they move or re-parent names across directories); shared for
-  //      everything else.
-  //   2. per-inode stripes — shared for reads of an inode, exclusive for
-  //      Write/SetAttr. Create takes the parent directory's stripe
-  //      exclusive; Remove takes the parent's and the target's stripes
-  //      exclusive, always in stripe-index order, and re-checks after
-  //      locking that the name still maps to the same inode.
-  // Lock order is always ns_mu_ then stripes in ascending index order, so
-  // no deadlocks. A new inode from Create needs no stripe: until Create
-  // returns, every handle naming that inode number is stale (its
-  // generation was bumped) and CheckFh rejects it.
-  static constexpr size_t kInodeStripes = 64;
+  // Per-inode stripes are the only lock, so independent files and
+  // directories proceed in parallel on the worker pool:
+  //   - reads of an inode take its stripe shared, Write/SetAttr exclusive;
+  //   - Create takes the parent directory's stripe exclusive; Remove takes
+  //     the parent's and the target's stripes exclusive and re-checks after
+  //     locking that the name still maps to the same inode;
+  //   - Mkdir/Rmdir/Rename/Link/Symlink move or re-parent names across
+  //     directories, so they take every stripe exclusive (LockAllStripes).
+  // Stripes are always taken in ascending index order, so no deadlocks.
+  // StatFs takes none: Ffs's allocator lock guards the counters it reads.
+  // A new inode from Create needs no stripe: until Create returns, every
+  // handle naming that inode number is stale (its generation was bumped)
+  // and CheckFh rejects it.
+  // 32 stripes keep independent files apart, and few enough that a thread
+  // holding all of them plus the storage layers' own locks stays inside
+  // ThreadSanitizer's limit of 64 locks held at once.
+  static constexpr size_t kInodeStripes = 32;
+  using AllStripes =
+      std::array<std::unique_lock<std::shared_mutex>, kInodeStripes>;
   std::shared_mutex& StripeFor(InodeNum inode) {
     return inode_stripes_[inode % kInodeStripes];
   }
-  std::shared_mutex ns_mu_;
+  AllStripes LockAllStripes();
   std::array<std::shared_mutex, kInodeStripes> inode_stripes_;
 
   std::atomic<uint64_t> ops_served_{0};

@@ -14,12 +14,12 @@
 // a proxy holding thousands of upstream connections needs one thread, not
 // thousands.
 //
-// Server side: RpcDispatcher::ServeConnection hands decoded requests to a
-// shared WorkerPool from a per-connection recv thread (PR 2), and
-// RpcConnection serves a stream entirely from an EventLoop: decode on
-// readability, execute on the pool, and reply through a bounded
-// per-connection send queue drained by a single writer (the loop), with an
+// Server side: RpcConnection serves a stream entirely from an EventLoop:
+// decode on readability, execute on a shared WorkerPool, and reply through
+// a bounded per-connection send queue drained by a single writer, with an
 // optional global admission bound that busy-rejects when the pool backs up.
+// RpcDispatcher::ServeConnection is the inline, one-request-at-a-time
+// server for fd-less streams.
 #ifndef DISCFS_SRC_RPC_RPC_H_
 #define DISCFS_SRC_RPC_RPC_H_
 
@@ -150,16 +150,6 @@ class RpcClient {
   std::thread deadline_thread_;    // guarded by deadline_mu_ (lazy start)
 };
 
-// How ServeConnection schedules handler execution.
-struct ServeOptions {
-  // Shared execution pool. When null, requests are handled inline on the
-  // connection thread (the pre-pipelining behavior).
-  WorkerPool* pool = nullptr;
-  // Backpressure: the connection stops reading new requests while this many
-  // are being executed or awaiting their reply write.
-  size_t max_inflight_per_conn = 64;
-};
-
 // RPC call frames may carry an optional trailer after the opaque args:
 //   u32 kRpcTraceMagic | u32 version | u64 trace_id [| u32 deadline_ms]
 // Version 1 carries the trace id only; version 2 appends the caller's
@@ -202,15 +192,10 @@ class RpcDispatcher {
   // UNAVAILABLE when the peer disconnects.
   Status ServeOne(MsgStream& stream, const RpcContext& ctx) const;
 
-  // Serves until the peer disconnects, one request at a time.
+  // Serves until the peer disconnects, one request at a time on the
+  // calling thread. The only server for streams without a pollable fd
+  // (in-process test pairs); everything else is served by RpcConnection.
   void ServeConnection(MsgStream& stream, const RpcContext& ctx) const;
-
-  // Pipelined variant: decodes requests on this thread, executes them on
-  // options.pool (inline when null), and writes replies as they complete —
-  // out of order — under a per-connection write lock. Returns only after
-  // every accepted request has been answered (or its reply write failed).
-  void ServeConnection(MsgStream& stream, const RpcContext& ctx,
-                       const ServeOptions& options) const;
 
   // Dispatches one decoded request (shared with RpcConnection).
   Result<Bytes> Dispatch(uint32_t prog, uint32_t proc, const Bytes& args,

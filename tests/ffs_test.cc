@@ -349,6 +349,40 @@ TEST(FfsTest, RenameReplacesExistingFile) {
   EXPECT_EQ(after->free_inodes, before->free_inodes + 1);
 }
 
+// A directory moved into its own subtree would be cut off from the root
+// (fsck: allocated but unreachable). Rename must refuse it at any depth.
+TEST(FfsTest, RenameDirectoryIntoOwnSubtreeRejected) {
+  auto fs = MakeFs();
+  auto a = fs->Mkdir(fs->root(), "a", 0755);
+  ASSERT_TRUE(a.ok());
+  auto b = fs->Mkdir(a->inode, "b", 0755);
+  ASSERT_TRUE(b.ok());
+  auto c = fs->Mkdir(b->inode, "c", 0755);
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(fs->Mkdir(b->inode, "taken", 0755).ok());
+
+  for (InodeNum into : {a->inode, b->inode, c->inode}) {
+    EXPECT_EQ(fs->Rename(fs->root(), "a", into, "loop").code(),
+              StatusCode::kInvalidArgument);
+  }
+  // Replacing an existing (empty) directory inside the subtree is refused
+  // too, before the victim is removed.
+  EXPECT_EQ(fs->Rename(fs->root(), "a", b->inode, "taken").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(fs->Lookup(b->inode, "taken").ok());
+  EXPECT_TRUE(fs->Lookup(fs->root(), "a").ok());
+
+  // Moves that stay acyclic still work: up to the root, and sideways.
+  ASSERT_TRUE(fs->Rename(b->inode, "c", fs->root(), "c").ok());
+  ASSERT_TRUE(fs->Rename(fs->root(), "c", a->inode, "c").ok());
+
+  auto report = fs->Check();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->clean())
+      << report->errors.size() << " fsck errors, first: "
+      << report->errors.front();
+}
+
 TEST(FfsTest, RenameMissingSourceFails) {
   auto fs = MakeFs();
   EXPECT_FALSE(fs->Rename(fs->root(), "nope", fs->root(), "x").ok());

@@ -627,10 +627,12 @@ TEST(LockboxMultiDevice, RevokeOneDeviceDeniesClusterWideSiblingsStayWarm) {
   }
   EXPECT_EQ(node_b.host->server().counters().keynote_queries.load(), 0u)
       << "sibling devices' cached grants should have survived";
-  // The laptop is denied — same CheckAccess path as NFS reads.
-  auto denied = device_clients[0]->GetLockbox(fh);
-  EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied)
-      << denied.status();
+  // The laptop is denied, every time — same CheckAccess path as NFS reads.
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    auto denied = device_clients[0]->GetLockbox(fh);
+    EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied)
+        << "attempt " << attempt << ": " << denied.status();
+  }
   // And its plain NFS read is denied identically (one admission path).
   EXPECT_EQ(device_clients[0]->nfs().Read(fh, 0, 16).status().code(),
             StatusCode::kPermissionDenied);
@@ -646,37 +648,37 @@ TEST(LockboxMultiDevice, RevokeOneDeviceDeniesClusterWideSiblingsStayWarm) {
 
 // --- dedup semantics across users: public dedups, sealed never collides ---
 
-TEST(LockboxDedup, PublicPayloadsDedupSealedPayloadsDoNot) {
+// `users` principals each store the same public corpus and a sealed copy
+// of the same plaintext, into files of their own. Reports the public
+// phase's dedup ratio (dedup hits / chunk puts).
+void CheckDedupAcrossUsers(size_t users, double* public_dedup_ratio) {
   DsaPrivateKey admin = DsaPrivateKey::Generate(Dsa512(), TestRand(1));
   DsaPrivateKey server = DsaPrivateKey::Generate(Dsa512(), TestRand(2));
   Node node = StartNode(server, admin.public_key(), 10);
 
-  // Four files; two users each store the same public corpus and a private
-  // (sealed) copy of the same plaintext.
-  for (const char* path : {"/pub1", "/pub2", "/priv1", "/priv2"}) {
-    ASSERT_TRUE(WriteFileAt(*node.vfs, path, "x").ok());
-  }
-  InodeAttr pub1 = ResolvePath(*node.vfs, "/pub1").value();
-  InodeAttr pub2 = ResolvePath(*node.vfs, "/pub2").value();
-  InodeAttr priv1 = ResolvePath(*node.vfs, "/priv1").value();
-  InodeAttr priv2 = ResolvePath(*node.vfs, "/priv2").value();
-
-  DsaPrivateKey users[2] = {DsaPrivateKey::Generate(Dsa512(), TestRand(3)),
-                            DsaPrivateKey::Generate(Dsa512(), TestRand(4))};
-  std::unique_ptr<DiscfsClient> clients[2];
+  std::vector<DsaPrivateKey> keys;
+  std::vector<std::unique_ptr<DiscfsClient>> clients;
+  std::vector<NfsFh> pub_fhs;
+  std::vector<NfsFh> priv_fhs;
   CredentialOptions rw;
   rw.permissions = "RW";
-  for (int u = 0; u < 2; ++u) {
-    ChannelIdentity id{users[u], TestRand(20 + u)};
+  for (size_t u = 0; u < users; ++u) {
+    keys.push_back(DsaPrivateKey::Generate(Dsa512(), TestRand(100 + u)));
+    ChannelIdentity id{keys[u], TestRand(200 + u)};
     auto client = DiscfsClient::Connect("127.0.0.1", node.host->port(), id,
                                         server.public_key());
-    ASSERT_TRUE(client.ok());
-    clients[u] = std::move(client).value();
-    for (InodeAttr* file : {&pub1, &pub2, &priv1, &priv2}) {
-      std::string cred = IssueCredential(admin, users[u].public_key(),
-                                         HandleString(file->inode), rw)
-                             .value();
-      ASSERT_TRUE(clients[u]->SubmitCredential(cred).ok());
+    ASSERT_TRUE(client.ok()) << client.status();
+    clients.push_back(std::move(client).value());
+    for (const std::string prefix : {"/pub", "/priv"}) {
+      std::string path = prefix + std::to_string(u);
+      ASSERT_TRUE(WriteFileAt(*node.vfs, path, "x").ok());
+      InodeAttr file = ResolvePath(*node.vfs, path).value();
+      std::vector<NfsFh>& fhs = prefix == "/pub" ? pub_fhs : priv_fhs;
+      fhs.push_back({file.inode, file.generation});
+      auto cred = IssueCredential(admin, keys[u].public_key(),
+                                  HandleString(file.inode), rw);
+      ASSERT_TRUE(cred.ok()) << cred.status();
+      ASSERT_TRUE(clients[u]->SubmitCredential(*cred).ok());
     }
   }
 
@@ -685,42 +687,66 @@ TEST(LockboxDedup, PublicPayloadsDedupSealedPayloadsDoNot) {
   Bytes shared_plaintext = TestRand(99)(4096);
 
   // Public: identical plaintext from different users — full chunk overlap.
-  NfsFh pub_fhs[2] = {{pub1.inode, pub1.generation},
-                      {pub2.inode, pub2.generation}};
-  auto pub_a = clients[0]->PutLockbox(pub_fhs[0], /*sealed=*/false, 512,
-                                      shared_plaintext, {});
-  ASSERT_TRUE(pub_a.ok()) << pub_a.status();
-  auto pub_b = clients[1]->PutLockbox(pub_fhs[1], /*sealed=*/false, 512,
-                                      shared_plaintext, {});
-  ASSERT_TRUE(pub_b.ok()) << pub_b.status();
-  EXPECT_EQ(pub_a->chunks, pub_b->chunks);  // content-addressed: same ids
+  std::vector<std::string> pub_chunks;
+  for (size_t u = 0; u < users; ++u) {
+    auto stored = clients[u]->PutLockbox(pub_fhs[u], /*sealed=*/false, 512,
+                                         shared_plaintext, {});
+    ASSERT_TRUE(stored.ok()) << stored.status();
+    if (u == 0) {
+      pub_chunks = stored->chunks;
+    }
+    EXPECT_EQ(stored->chunks, pub_chunks);  // content-addressed: same ids
+  }
+  // The public corpus cost one stored copy: every later user's chunks
+  // all dedup.
+  ChunkStore::Stats pub = node.host->server().chunkstore().stats();
+  ASSERT_EQ(pub.puts, users * pub_chunks.size());
+  EXPECT_EQ(pub.dedup_hits, (users - 1) * pub_chunks.size());
+  *public_dedup_ratio = static_cast<double>(pub.dedup_hits) / pub.puts;
 
   // Private: each user seals under their OWN random content key; the
   // ciphertexts (and so the chunk ids) must not collide even though the
   // plaintext is identical — dedup must not leak private-data equality.
-  NfsFh priv_fhs[2] = {{priv1.inode, priv1.generation},
-                       {priv2.inode, priv2.generation}};
-  std::vector<std::string> priv_chunks[2];
-  for (int u = 0; u < 2; ++u) {
-    Bytes key = GenerateContentKey(TestRand(60 + u));
-    Bytes sealed = SealPayload(key, shared_plaintext, TestRand(62 + u));
+  std::set<std::string> priv_chunks;
+  size_t priv_puts = 0;
+  for (size_t u = 0; u < users; ++u) {
+    Bytes key = GenerateContentKey(TestRand(300 + u));
+    Bytes sealed = SealPayload(key, shared_plaintext, TestRand(400 + u));
     auto stored = clients[u]->PutLockbox(priv_fhs[u], /*sealed=*/true, 512,
                                          sealed, {});
     ASSERT_TRUE(stored.ok()) << stored.status();
-    priv_chunks[u] = stored->chunks;
+    priv_chunks.insert(stored->chunks.begin(), stored->chunks.end());
+    priv_puts += stored->chunks.size();
   }
-  for (const std::string& id : priv_chunks[0]) {
-    for (const std::string& other : priv_chunks[1]) {
-      EXPECT_NE(id, other);
-    }
+  EXPECT_EQ(priv_chunks.size(), priv_puts);
+  ChunkStore::Stats all = node.host->server().chunkstore().stats();
+  EXPECT_EQ(all.dedup_hits, pub.dedup_hits) << "sealed chunks deduped";
+
+  // All mutation is quiesced: the mark/sweep audit finds no orphaned,
+  // mis-referenced, missing, or corrupt chunks.
+  auto audit = node.host->server().chunkstore().Audit();
+  ASSERT_TRUE(audit.ok()) << audit.status();
+  EXPECT_TRUE(audit->clean());
+
+  for (auto& client : clients) {
+    client->Close();
   }
+}
 
-  // Accounting: the public corpus cost one stored copy, the private two.
-  ChunkStore::Stats stats = node.host->server().chunkstore().stats();
-  EXPECT_EQ(stats.dedup_hits, pub_a->chunks.size());
-
-  clients[0]->Close();
-  clients[1]->Close();
+TEST(LockboxDedup, PublicPayloadsDedupSealedPayloadsDoNot) {
+  double ratio = 0;
+  {
+    SCOPED_TRACE("2 users");
+    CheckDedupAcrossUsers(2, &ratio);
+    EXPECT_DOUBLE_EQ(ratio, 0.5);
+  }
+  {
+    // The dedup-ratio gate: with 16 users sharing one corpus, 15 of every
+    // 16 chunk puts must dedup.
+    SCOPED_TRACE("16 users");
+    CheckDedupAcrossUsers(16, &ratio);
+    EXPECT_GE(ratio, 0.9);
+  }
 }
 
 }  // namespace

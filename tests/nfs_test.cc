@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 #include "src/nfs/nfs_client.h"
@@ -158,6 +160,28 @@ TEST_F(NfsE2E, RenameOverWire) {
   EXPECT_TRUE(client_->Lookup(d2->fh, "y").ok());
 }
 
+// A client with write access to both directories must not be able to cut
+// a subtree off the root by renaming a directory into itself.
+TEST_F(NfsE2E, RenameDirectoryIntoOwnSubtreeRejectedOverWire) {
+  NfsFh root = Root();
+  auto a = client_->Mkdir(root, "a", 0755);
+  ASSERT_TRUE(a.ok());
+  auto b = client_->Mkdir(a->fh, "b", 0755);
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(client_->Rename(root, "a", b->fh, "loop").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(client_->Rename(root, "a", a->fh, "self").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(client_->Lookup(root, "a").ok());
+  EXPECT_TRUE(client_->Lookup(a->fh, "b").ok());
+
+  auto report = vfs_->ffs()->Check();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->clean())
+      << report->errors.size() << " fsck errors, first: "
+      << report->errors.front();
+}
+
 TEST_F(NfsE2E, LinkOverWire) {
   NfsFh root = Root();
   auto f = client_->Create(root, "orig", 0644);
@@ -284,8 +308,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(100000ull, 12345u)));
 
 // Concurrency storm against the striped-lock server: data threads hammer
-// independent files (shared ns_mu_, per-inode stripes) while a namespace
-// thread creates and removes entries under the exclusive lock. Run under
+// independent files (per-inode stripes) while a namespace thread creates
+// and removes entries under the root directory's stripe. Run under
 // TSAN by tools/run_tsan.sh; correctness check is that every thread reads
 // back exactly what it wrote and the volume fscks clean afterwards.
 TEST(NfsConcurrency, IndependentFileStorm) {
@@ -361,8 +385,8 @@ TEST(NfsConcurrency, IndependentFileStorm) {
       << report->errors.front();
 }
 
-// Namespace storm against per-directory Create/Remove (shared ns_mu_ plus
-// directory/target stripes): threads create and remove in their own
+// Namespace storm against per-directory Create/Remove (directory and
+// target stripes): threads create and remove in their own
 // directories and in one shared directory, while readers read files that
 // a remover is deleting under them. Every read must return exactly the
 // bytes written or a stale-handle/not-found error, every surviving name
@@ -506,6 +530,204 @@ TEST(NfsConcurrency, PerDirectoryNamespaceStorm) {
   for (const NfsFh& fh : victims) {
     EXPECT_EQ(server.GetAttr(fh).status().code(), StatusCode::kNotFound);
   }
+
+  ASSERT_TRUE(ffs->Sync().ok());
+  auto report = ffs->Check();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->clean())
+      << report->errors.size() << " fsck errors, first: "
+      << report->errors.front();
+}
+
+// Storm over the namespace operations that take every stripe exclusive
+// (Mkdir/Rmdir/Rename/Link/Symlink): each namespace thread works in its own
+// directory, while readers re-read fixed files (exact bytes every time)
+// and a Create/Remove thread churns beside them. The hard links land in
+// the churn directory, so a Link that did not exclude the churn thread's
+// Create could lose a directory entry to it. Every thread runs a bounded
+// number of steps, the wait for them is bounded, and the volume must fsck
+// clean. Run under TSAN by tools/run_tsan.sh.
+TEST(NfsConcurrency, ExclusiveNamespaceStorm) {
+  auto dev = std::make_shared<MemBlockDevice>(4096, 16384);
+  FfsFormatOptions format{2048};
+  format.mount.cache.capacity_blocks = 64;
+  format.mount.cache.flush_interval_ms = 5;
+  auto fs = Ffs::Format(dev, format);
+  ASSERT_TRUE(fs.ok());
+  Ffs* ffs = fs->get();
+  auto vfs = std::make_shared<FfsVfs>(std::move(fs).value());
+  NfsServer server(vfs);
+  auto root = server.GetRoot();
+  ASSERT_TRUE(root.ok());
+
+  constexpr int kNamespaceThreads = 4;
+  constexpr int kSteps = 24;
+  std::vector<NfsFh> own_dirs;
+  for (int t = 0; t < kNamespaceThreads; ++t) {
+    auto d = server.Mkdir(root->fh, "ns" + std::to_string(t), 0755);
+    ASSERT_TRUE(d.ok());
+    own_dirs.push_back(d->fh);
+  }
+  auto churn_dir = server.Mkdir(root->fh, "churn", 0755);
+  ASSERT_TRUE(churn_dir.ok());
+  constexpr int kFixed = 4;
+  std::vector<NfsFh> fixed;
+  std::vector<Bytes> fixed_data;
+  Prng seed_prng(6161);
+  for (int f = 0; f < kFixed; ++f) {
+    auto file = server.Create(root->fh, "fixed" + std::to_string(f), 0644);
+    ASSERT_TRUE(file.ok());
+    fixed_data.push_back(seed_prng.NextBytes(3 * 4096 + 77));
+    ASSERT_TRUE(server.Write(file->fh, 0, fixed_data.back()).ok());
+    fixed.push_back(file->fh);
+  }
+
+  std::atomic<int> failures{0};
+  std::atomic<int> writers_done{0};
+  std::atomic<int> finished{0};
+  auto fail = [&failures](const std::string& what) {
+    ADD_FAILURE() << what;
+    failures.fetch_add(1);
+  };
+  std::vector<std::thread> threads;
+
+  // Per step: mkdir a subdirectory, create a file in it, hard-link it
+  // into the churn directory and symlink beside it, move the file out,
+  // rename the subdirectory, refuse a move of it into itself, rmdir it,
+  // drop the link. Even steps then remove what they made; odd steps keep
+  // the moved file and the symlink.
+  for (int t = 0; t < kNamespaceThreads; ++t) {
+    threads.emplace_back([&, dir = own_dirs[t], t] {
+      Prng prng(8800 + t);
+      for (int i = 0; i < kSteps && failures.load() == 0; ++i) {
+        const std::string n = std::to_string(i);
+        const std::string link_name = "l" + std::to_string(t) + "_" + n;
+        auto sub = server.Mkdir(dir, "d" + n, 0755);
+        if (!sub.ok()) {
+          fail("mkdir d" + n + ": " + sub.status().ToString());
+          break;
+        }
+        auto file = server.Create(sub->fh, "f", 0644);
+        Bytes payload = prng.NextBytes(1 + prng.Next() % 6000);
+        if (!file.ok() || !server.Write(file->fh, 0, payload).ok()) {
+          fail("create/write d" + n + "/f");
+          break;
+        }
+        if (!server.Link(churn_dir->fh, link_name, file->fh).ok()) {
+          fail("link " + link_name);
+          break;
+        }
+        auto link = server.Symlink(dir, "s" + n, "target" + n);
+        if (!link.ok()) {
+          fail("symlink s" + n);
+          break;
+        }
+        if (server.ReadLink(link->fh).value_or("") != "target" + n) {
+          fail("readlink s" + n);
+          break;
+        }
+        if (!server.Rename(sub->fh, "f", dir, "r" + n).ok() ||
+            !server.Rename(dir, "d" + n, dir, "m" + n).ok()) {
+          fail("rename step " + n);
+          break;
+        }
+        if (server.Rename(dir, "m" + n, sub->fh, "loop").code() !=
+            StatusCode::kInvalidArgument) {
+          fail("rename of m" + n + " into itself was not refused");
+          break;
+        }
+        if (!server.Rmdir(dir, "m" + n).ok() ||
+            !server.Remove(churn_dir->fh, link_name).ok()) {
+          fail("rmdir/unlink step " + n);
+          break;
+        }
+        auto back =
+            server.Read(file->fh, 0, static_cast<uint32_t>(payload.size()));
+        if (!back.ok() || *back != payload) {
+          fail("read-back r" + n);
+          break;
+        }
+        if (i % 2 == 1) {
+          continue;  // odd steps keep r<i> and s<i>
+        }
+        if (!server.Remove(dir, "r" + n).ok() ||
+            !server.Remove(dir, "s" + n).ok()) {
+          fail("cleanup step " + n);
+          break;
+        }
+      }
+      writers_done.fetch_add(1);
+      finished.fetch_add(1);
+    });
+  }
+  // Create/Remove churn beside the hard links.
+  threads.emplace_back([&, dir = churn_dir->fh] {
+    for (int i = 0; i < 4 * kSteps && failures.load() == 0; ++i) {
+      const std::string name = "c" + std::to_string(i);
+      auto f = server.Create(dir, name, 0644);
+      if (!f.ok() || !server.Write(f->fh, 0, Bytes(100, 'c')).ok() ||
+          !server.Remove(dir, name).ok()) {
+        fail("churn " + name);
+        break;
+      }
+    }
+    writers_done.fetch_add(1);
+    finished.fetch_add(1);
+  });
+  // Readers: exact bytes on every read while the namespace moves around
+  // them; they stop when every writer is done.
+  constexpr int kWriters = kNamespaceThreads + 1;
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      Prng prng(7300 + r);
+      while (writers_done.load() < kWriters && failures.load() == 0) {
+        const size_t f = prng.Next() % kFixed;
+        auto back = server.Read(fixed[f], 0, 4 * 4096);
+        if (!back.ok() || *back != fixed_data[f]) {
+          fail("fixed" + std::to_string(f) + " read was not exact");
+          break;
+        }
+        if (!server.GetAttr(fixed[f]).ok()) {
+          fail("fixed" + std::to_string(f) + " getattr");
+          break;
+        }
+      }
+      finished.fetch_add(1);
+    });
+  }
+
+  // Bounded wait: a deadlocked storm fails here instead of hanging.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (finished.load() < static_cast<int>(threads.size()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (finished.load() < static_cast<int>(threads.size())) {
+    std::fprintf(stderr, "ExclusiveNamespaceStorm: %d of %zu threads stuck\n",
+                 static_cast<int>(threads.size()) - finished.load(),
+                 threads.size());
+    std::abort();  // a stuck thread cannot be joined
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  ASSERT_EQ(failures.load(), 0);
+
+  for (int t = 0; t < kNamespaceThreads; ++t) {
+    auto entries = server.ReadDir(own_dirs[t]);
+    ASSERT_TRUE(entries.ok());
+    EXPECT_EQ(entries->size(), static_cast<size_t>(kSteps));  // r + s, odd
+    for (int i = 1; i < kSteps; i += 2) {
+      auto kept = server.Lookup(own_dirs[t], "r" + std::to_string(i));
+      ASSERT_TRUE(kept.ok());
+      EXPECT_EQ(kept->nlink, 1u);
+      EXPECT_TRUE(server.Lookup(own_dirs[t], "s" + std::to_string(i)).ok());
+    }
+  }
+  auto churn_entries = server.ReadDir(churn_dir->fh);
+  ASSERT_TRUE(churn_entries.ok());
+  EXPECT_TRUE(churn_entries->empty());
 
   ASSERT_TRUE(ffs->Sync().ok());
   auto report = ffs->Check();

@@ -1,6 +1,8 @@
-// Pipelined RPC runtime (PR 2): xid demux, out-of-order replies, worker
-// pool dispatch, fail-fast teardown, and the transport plumbing that makes
-// it safe (Shutdown unblocking Recv, configurable bind address).
+// Pipelined RPC runtime: xid demux, out-of-order replies, worker pool
+// dispatch, fail-fast teardown, and the transport plumbing that makes it
+// safe (Shutdown unblocking Recv, configurable bind address). Servers run
+// on RpcConnection, the production runtime, so every pair is a loopback
+// TCP socket (RpcConnection needs a pollable fd).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include "src/crypto/groups.h"
 #include "src/discfs/client.h"
 #include "src/discfs/host.h"
+#include "src/net/event_loop.h"
 #include "src/net/transport.h"
 #include "src/rpc/rpc.h"
 #include "src/securechannel/channel.h"
@@ -121,29 +124,42 @@ TEST(Tcp, ListenerHonorsBindAddress) {
   EXPECT_FALSE(bad.ok());
 }
 
-// ----- pipelined RPC over one secure channel -----
+// ----- pipelined RPC over one connection -----
 
-struct SecurePair {
-  std::unique_ptr<SecureChannel> client;
-  std::unique_ptr<SecureChannel> server;
+struct StreamPair {
+  std::unique_ptr<MsgStream> client;
+  std::unique_ptr<MsgStream> server;
 };
 
-SecurePair MakeSecurePair() {
+StreamPair MakeTcpPair() {
+  StreamPair pair;
+  auto listener = TcpListener::Listen(0);
+  EXPECT_TRUE(listener.ok()) << listener.status();
+  auto client = TcpTransport::Connect("127.0.0.1", (*listener)->port());
+  EXPECT_TRUE(client.ok()) << client.status();
+  auto server = (*listener)->Accept();
+  EXPECT_TRUE(server.ok()) << server.status();
+  pair.client = std::move(client).value();
+  pair.server = std::move(server).value();
+  return pair;
+}
+
+StreamPair MakeSecurePair() {
   DsaPrivateKey server_key = DsaPrivateKey::Generate(Dsa512(), TestRand(1));
   DsaPrivateKey client_key = DsaPrivateKey::Generate(Dsa512(), TestRand(2));
-  auto transports = InProcTransport::CreatePair();
+  StreamPair tcp = MakeTcpPair();
   ChannelIdentity client_id{client_key, TestRand(10)};
   ChannelIdentity server_id{server_key, TestRand(11)};
   Result<std::unique_ptr<SecureChannel>> server_result =
       UnavailableError("not run");
   std::thread server_thread([&] {
     server_result =
-        SecureChannel::ServerHandshake(std::move(transports.b), server_id);
+        SecureChannel::ServerHandshake(std::move(tcp.server), server_id);
   });
   auto client_result = SecureChannel::ClientHandshake(
-      std::move(transports.a), client_id, std::nullopt);
+      std::move(tcp.client), client_id, std::nullopt);
   server_thread.join();
-  SecurePair pair;
+  StreamPair pair;
   EXPECT_TRUE(client_result.ok());
   EXPECT_TRUE(server_result.ok());
   pair.client = std::move(client_result).value();
@@ -151,13 +167,57 @@ SecurePair MakeSecurePair() {
   return pair;
 }
 
+// Serves one stream the way hosts do: decode on an EventLoop, execute on
+// a WorkerPool.
+class LoopServer {
+ public:
+  LoopServer(const RpcDispatcher& dispatcher,
+             std::unique_ptr<MsgStream> stream, size_t threads)
+      : pool_(threads) {
+    RpcConnection::Options options;
+    options.loop = &loop_;
+    options.pool = &pool_;
+    auto conn = RpcConnection::Start(&dispatcher, std::move(stream),
+                                     RpcContext{}, options);
+    EXPECT_TRUE(conn.ok()) << conn.status();
+    if (conn.ok()) {
+      conn_ = std::move(conn).value();
+    }
+  }
+
+  // In-flight handlers finish on the pool before the loop goes away.
+  ~LoopServer() {
+    if (conn_ != nullptr) {
+      conn_->Abort();
+    }
+    pool_.Shutdown();
+  }
+
+  // Waits (bounded) for the connection to wind down after its peer left.
+  bool WaitClosed() {
+    auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (conn_ != nullptr && !conn_->closed()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        return false;
+      }
+      std::this_thread::sleep_for(1ms);
+    }
+    return conn_ != nullptr;
+  }
+
+ private:
+  EventLoop loop_;
+  WorkerPool pool_;
+  std::shared_ptr<RpcConnection> conn_;
+};
+
 // N concurrent CallAsyncs on one channel; handlers rendezvous (so a serial
 // server would time out, proving requests really overlap) and then finish
 // in REVERSE request order, so replies hit the wire out of order and only
 // xid demux can match them back up.
 TEST(RpcPipeline, CallAsyncDemuxesOutOfOrderReplies) {
   constexpr int kCalls = 8;
-  SecurePair pair = MakeSecurePair();
+  StreamPair pair = MakeSecurePair();
 
   std::mutex mu;
   std::condition_variable cv;
@@ -183,14 +243,7 @@ TEST(RpcPipeline, CallAsyncDemuxesOutOfOrderReplies) {
     return Bytes{static_cast<uint8_t>(id), static_cast<uint8_t>(id * 2 + 1)};
   });
 
-  WorkerPool pool(kCalls);
-  ServeOptions options;
-  options.pool = &pool;
-  options.max_inflight_per_conn = kCalls;
-  std::thread server([&] {
-    RpcContext ctx;
-    dispatcher.ServeConnection(*pair.server, ctx, options);
-  });
+  LoopServer server(dispatcher, std::move(pair.server), kCalls);
 
   RpcClient client(std::move(pair.client));
   std::vector<std::future<Result<Bytes>>> futures;
@@ -208,27 +261,21 @@ TEST(RpcPipeline, CallAsyncDemuxesOutOfOrderReplies) {
   }
   EXPECT_EQ(client.inflight(), 0u);
   client.Close();
-  server.join();
+  EXPECT_TRUE(server.WaitClosed());
 }
 
 // Concurrent blocking Calls share one connection and pipeline through it.
 TEST(RpcPipeline, ConcurrentBlockingCallsShareOneConnection) {
-  auto transports = InProcTransport::CreatePair();
+  StreamPair transports = MakeTcpPair();
   RpcDispatcher dispatcher;
   dispatcher.Register(1, 7, [](const Bytes& args, const RpcContext&) {
     Bytes out = args;
     std::reverse(out.begin(), out.end());
     return Result<Bytes>(out);
   });
-  WorkerPool pool(4);
-  ServeOptions options;
-  options.pool = &pool;
-  std::thread server([&] {
-    RpcContext ctx;
-    dispatcher.ServeConnection(*transports.b, ctx, options);
-  });
+  LoopServer server(dispatcher, std::move(transports.server), 4);
 
-  RpcClient client(std::move(transports.a));
+  RpcClient client(std::move(transports.client));
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;
   std::vector<std::thread> callers;
@@ -250,13 +297,13 @@ TEST(RpcPipeline, ConcurrentBlockingCallsShareOneConnection) {
   }
   EXPECT_EQ(failures.load(), 0);
   client.Close();
-  server.join();
+  EXPECT_TRUE(server.WaitClosed());
 }
 
 // Close during an in-flight call resolves the call promptly with an error
 // instead of hanging until the handler finishes.
 TEST(RpcPipeline, CloseDuringInflightCallFailsFast) {
-  auto transports = InProcTransport::CreatePair();
+  StreamPair transports = MakeTcpPair();
 
   std::mutex mu;
   std::condition_variable cv;
@@ -272,15 +319,9 @@ TEST(RpcPipeline, CloseDuringInflightCallFailsFast) {
     cv.wait_for(lock, 10s, [&] { return release_handler; });
     return Bytes();
   });
-  WorkerPool pool(2);
-  ServeOptions options;
-  options.pool = &pool;
-  std::thread server([&] {
-    RpcContext ctx;
-    dispatcher.ServeConnection(*transports.b, ctx, options);
-  });
+  LoopServer server(dispatcher, std::move(transports.server), 2);
 
-  RpcClient client(std::move(transports.a));
+  RpcClient client(std::move(transports.client));
   std::future<Result<Bytes>> future = client.CallAsync(1, 1, Bytes());
   {
     std::unique_lock<std::mutex> lock(mu);
@@ -298,7 +339,7 @@ TEST(RpcPipeline, CloseDuringInflightCallFailsFast) {
     release_handler = true;
   }
   cv.notify_all();
-  server.join();
+  EXPECT_TRUE(server.WaitClosed());
 }
 
 // ----- host: shared pool + connection-thread reaping -----

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Validates BENCH_policy.json / BENCH_rpc.json / BENCH_coherence.json /
 BENCH_admission.json / BENCH_fault.json / BENCH_storage.json /
-BENCH_lockbox.json / BENCH_obs.json / BENCH_overload.json against
-schema_version 1.
+BENCH_obs.json / BENCH_overload.json against schema_version 1.
 
 Stdlib only, so the bench-smoke CI job and tools/run_bench.sh can call it
 anywhere a python3 exists. Checks required keys per tier, tier-set shape
@@ -105,7 +104,7 @@ STORAGE_TOP_KEYS = {
     "schema_version",
     "file_mb",
     "latency_model",
-    "uncached_latency",
+    "cold_latency",
     "cached_latency",
     "cached_fast",
     "nfs",
@@ -113,14 +112,13 @@ STORAGE_TOP_KEYS = {
     "rewrite_hit_rate",
     "fsck_clean_all",
 }
-STORAGE_UNCACHED_KEYS = {
-    "seq_output_block_kb_s",
+STORAGE_COLD_KEYS = {
     "seq_input_block_kb_s",
+    "device_reads",
     "fsck_clean",
 }
 STORAGE_CACHED_KEYS = {
     "seq_output_block_kb_s",
-    "seq_input_block_cold_kb_s",
     "seq_input_block_warm_kb_s",
     "seq_rewrite_kb_s",
     "rewrite_hit_rate",
@@ -144,44 +142,6 @@ STORAGE_NFS_KEYS = {
     "scaling_1_to_4",
     "gate_enforced",
     "fsck_clean",
-}
-
-LOCKBOX_TOP_KEYS = {
-    "bench",
-    "schema_version",
-    "public_users",
-    "private_users",
-    "payload_kb",
-    "chunk_kb",
-    "dedup",
-    "audit",
-    "revocation",
-}
-LOCKBOX_AUDIT_KEYS = {
-    "records",
-    "chunks",
-    "live_references",
-    "clean",
-}
-LOCKBOX_DEDUP_KEYS = {
-    "public_puts",
-    "public_dedup_hits",
-    "public_stored_chunks",
-    "public_dedup_ratio",
-    "private_puts",
-    "private_dedup_hits",
-    "private_unique_chunks",
-    "put_mb_s",
-    "get_mb_s",
-}
-LOCKBOX_REVOCATION_KEYS = {
-    "devices",
-    "revoked_attempts",
-    "revoked_denied",
-    "denial_rate",
-    "sibling_fetches",
-    "sibling_keynote_queries",
-    "propagation_ms",
 }
 
 OBS_TOP_KEYS = {
@@ -443,7 +403,7 @@ def check_storage(doc, errors):
         errors.append(f"missing top-level keys: {sorted(missing_top)}")
         return
     for section, keys in (
-        ("uncached_latency", STORAGE_UNCACHED_KEYS),
+        ("cold_latency", STORAGE_COLD_KEYS),
         ("cached_latency", STORAGE_CACHED_KEYS),
         ("cached_fast", STORAGE_FAST_KEYS),
         ("nfs", STORAGE_NFS_KEYS),
@@ -464,6 +424,12 @@ def check_storage(doc, errors):
                            "device_writes"}:
             if sub[key] <= 0:
                 errors.append(f"{section}.{key} must be positive")
+    cold = doc["cold_latency"]
+    if isinstance(cold, dict) and cold.get("device_reads", 0) <= 0:
+        errors.append(
+            "cold_latency.device_reads must be positive (a cold pass that "
+            "never reads the device is not cold)"
+        )
     if doc["warm_read_speedup"] < 3.0:
         errors.append(
             f"warm_read_speedup below the 3x gate: {doc['warm_read_speedup']}"
@@ -482,64 +448,6 @@ def check_storage(doc, errors):
             errors.append(
                 "nfs.scaling_1_to_4 below the 1.5x gate with gate_enforced"
             )
-
-
-def check_lockbox(doc, errors):
-    missing_top = LOCKBOX_TOP_KEYS - doc.keys()
-    if missing_top:
-        errors.append(f"missing top-level keys: {sorted(missing_top)}")
-        return
-    dedup = doc["dedup"]
-    if not isinstance(dedup, dict) or LOCKBOX_DEDUP_KEYS - dedup.keys():
-        errors.append(f"dedup must have {sorted(LOCKBOX_DEDUP_KEYS)}")
-        return
-    audit = doc["audit"]
-    if not isinstance(audit, dict) or LOCKBOX_AUDIT_KEYS - audit.keys():
-        errors.append(f"audit must have {sorted(LOCKBOX_AUDIT_KEYS)}")
-        return
-    revocation = doc["revocation"]
-    if (not isinstance(revocation, dict)
-            or LOCKBOX_REVOCATION_KEYS - revocation.keys()):
-        errors.append(
-            f"revocation must have {sorted(LOCKBOX_REVOCATION_KEYS)}"
-        )
-        return
-    if audit["clean"] is not True:
-        errors.append(
-            "audit.clean must be true (mark/sweep found orphaned, "
-            "skewed, missing, or corrupt chunks)"
-        )
-    if audit["records"] <= 0 or audit["chunks"] <= 0:
-        errors.append("audit.records and audit.chunks must be positive")
-    if not 0.0 <= dedup["public_dedup_ratio"] <= 1.0:
-        errors.append("dedup.public_dedup_ratio must be in [0, 1]")
-    if dedup["public_dedup_ratio"] < 0.9:
-        errors.append(
-            f"dedup.public_dedup_ratio below the 0.9 gate: "
-            f"{dedup['public_dedup_ratio']}"
-        )
-    if dedup["private_dedup_hits"] != 0:
-        errors.append(
-            "dedup.private_dedup_hits must be 0 (sealed chunks deduping "
-            "would leak plaintext equality across users)"
-        )
-    if dedup["public_puts"] <= 0 or dedup["public_stored_chunks"] <= 0:
-        errors.append("dedup chunk counts must be positive")
-    for key in ("put_mb_s", "get_mb_s"):
-        if dedup[key] <= 0:
-            errors.append(f"dedup.{key} must be positive")
-    if revocation["denial_rate"] != 1.0:
-        errors.append(
-            f"revocation.denial_rate must be 1.0 (a revoked device "
-            f"fetched a lockbox): {revocation['denial_rate']}"
-        )
-    if revocation["revoked_attempts"] <= 0:
-        errors.append("revocation.revoked_attempts must be positive")
-    if revocation["sibling_keynote_queries"] != 0:
-        errors.append(
-            "revocation.sibling_keynote_queries must be 0 (revocation "
-            "must stay scoped to the lost device's chain)"
-        )
 
 
 def check_obs(doc, errors):
@@ -688,7 +596,6 @@ CHECKERS = {
     "admission_scaling": check_admission,
     "fault_injection": check_fault,
     "storage_scaling": check_storage,
-    "lockbox_sharing": check_lockbox,
     "obs_overhead": check_obs,
     "overload": check_overload,
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Builds the Release tree and runs the policy + RPC + coherence +
-# admission + storage + lockbox + observability + overload benchmarks,
-# leaving BENCH_policy.json, BENCH_rpc.json, BENCH_coherence.json,
-# BENCH_admission.json, BENCH_storage.json, BENCH_lockbox.json,
-# BENCH_obs.json, and BENCH_overload.json at the repo root (schemas:
-# docs/BENCH_SCHEMAS.md, enforced by tools/check_bench_schema.py).
+# admission + storage + observability + overload benchmarks, leaving
+# BENCH_policy.json, BENCH_rpc.json, BENCH_coherence.json,
+# BENCH_admission.json, BENCH_storage.json, BENCH_obs.json, and
+# BENCH_overload.json at the repo root (schemas: docs/BENCH_SCHEMAS.md,
+# enforced by tools/check_bench_schema.py).
 #
 # Usage: tools/run_bench.sh [max_credentials]
 #   max_credentials  cap the policy_scaling and admission_scaling sweeps
@@ -28,7 +28,7 @@ cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_dir" -j "$(nproc)" \
   --target policy_scaling ablation_cache rpc_pipeline \
   coherence_propagation admission_scaling storage_scaling \
-  lockbox_sharing obs_overhead overload_harness micro_ops
+  obs_overhead overload_harness
 
 echo "--- policy_scaling (writes BENCH_policy.json) ---"
 "$build_dir/policy_scaling" "$repo_root/BENCH_policy.json" "$max_credentials"
@@ -49,15 +49,11 @@ echo "    verify speedup or, on >= 4 cores, below 2x admit scaling) ---"
 "$build_dir/admission_scaling" "$repo_root/BENCH_admission.json" \
   "$max_credentials"
 
-echo "--- storage_scaling (writes BENCH_storage.json; fails below 3x warm"
-echo "    cached read speedup, below 90% rewrite hit rate, or a dirty"
-echo "    fsck; one tier runs with the device latency model enabled) ---"
+echo "--- storage_scaling (writes BENCH_storage.json; fails when warm"
+echo "    cached reads are below 3x a cold mount's, below 90% rewrite hit"
+echo "    rate, or on a dirty fsck; two tiers run with the device latency"
+echo "    model enabled) ---"
 "$build_dir/storage_scaling" "$repo_root/BENCH_storage.json"
-
-echo "--- lockbox_sharing (writes BENCH_lockbox.json; fails below 0.9"
-echo "    public dedup ratio, on any sealed-chunk dedup hit, or when a"
-echo "    revoked device's lockbox fetch is not denied cluster-wide) ---"
-"$build_dir/lockbox_sharing" "$repo_root/BENCH_lockbox.json"
 
 echo "--- obs_overhead (writes BENCH_obs.json; fails when the enabled"
 echo "    metrics registry costs > 5% on pipelined RPC or warm admission,"
@@ -71,21 +67,18 @@ echo "    reaches the worker pool or locks out a legitimate client) ---"
 "$build_dir/overload_harness" "$repo_root/BENCH_overload.json" \
   "$max_credentials"
 
-echo "--- micro_ops (self-timed core-primitive microbenchmarks) ---"
-"$build_dir/micro_ops"
-
 if command -v python3 >/dev/null 2>&1; then
   echo "--- schema validation ---"
   python3 "$repo_root/tools/check_bench_schema.py" \
     "$repo_root/BENCH_policy.json" "$repo_root/BENCH_rpc.json" \
     "$repo_root/BENCH_coherence.json" "$repo_root/BENCH_admission.json" \
-    "$repo_root/BENCH_storage.json" "$repo_root/BENCH_lockbox.json" \
-    "$repo_root/BENCH_obs.json" "$repo_root/BENCH_overload.json"
+    "$repo_root/BENCH_storage.json" "$repo_root/BENCH_obs.json" \
+    "$repo_root/BENCH_overload.json"
 else
   echo "warning: python3 not found; skipping bench schema validation" >&2
 fi
 
 echo "done: $repo_root/BENCH_policy.json $repo_root/BENCH_rpc.json" \
   "$repo_root/BENCH_coherence.json $repo_root/BENCH_admission.json" \
-  "$repo_root/BENCH_storage.json $repo_root/BENCH_lockbox.json" \
-  "$repo_root/BENCH_obs.json $repo_root/BENCH_overload.json"
+  "$repo_root/BENCH_storage.json $repo_root/BENCH_obs.json" \
+  "$repo_root/BENCH_overload.json"
