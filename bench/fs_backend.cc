@@ -12,7 +12,6 @@ namespace {
 FfsMountOptions MountOptions(const BackendOptions& opts) {
   FfsMountOptions mount;
   mount.cache.capacity_blocks = opts.cache_blocks;
-  mount.cache.readahead_blocks = opts.readahead_blocks;
   return mount;
 }
 

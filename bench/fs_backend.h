@@ -35,11 +35,9 @@ struct BackendOptions {
   // DisCFS knobs.
   size_t policy_cache_size = 128;  // paper's Figure 12 setting
   int64_t policy_cache_ttl_s = 3600;
-  // Storage data-plane knobs: block-cache capacity, readahead window, and
-  // an optional device latency model so the cache's I/O elision is visible
-  // in wall-clock time.
+  // Storage data-plane knobs: block-cache capacity and an optional device
+  // latency model so the cache's I/O elision is visible in wall-clock time.
   size_t cache_blocks = 4096;
-  size_t readahead_blocks = 8;
   LatencyModel latency;
 };
 

@@ -5,8 +5,9 @@
 //   cold_latency   — the bonnie file is written, synced, and the volume
 //                    mounted afresh over a device latency model (seek +
 //                    transfer); the first sequential read pass runs
-//                    against an empty block cache. The baseline the warm
-//                    cache is gated against.
+//                    against an empty block cache and must trigger Ffs's
+//                    per-file readahead. The baseline the warm cache is
+//                    gated against.
 //   cached_latency — the same mount, now warm: sequential reads must
 //                    elide device I/O entirely (>= 3x the cold read
 //                    throughput), and the bonnie rewrite pass must run
@@ -14,8 +15,10 @@
 //   cached_fast    — latency model off: the pure software-overhead
 //                    numbers, full bonnie phase set.
 //   nfs            — concurrent 4 KiB-block reads of independent files
-//                    through NfsServer's striped locking; with the old
-//                    global mutex this cannot scale past 1x.
+//                    through NfsServer's striped locking, 1 vs 4 threads,
+//                    each timed over a fixed 0.5 s window after a 1.5 s
+//                    warm-up; with a global lock on the read path this
+//                    cannot scale past 1x.
 //
 // Every tier ends with Ffs::Check(): a write-back bug that corrupts
 // metadata fails the run, not just a test.
@@ -76,7 +79,6 @@ BackendOptions TierOptions(size_t file_mb, bool latency) {
   // Cache sized to hold the whole bonnie file plus metadata, so the
   // rewrite pass can run fully warm.
   opts.cache_blocks = file_mb * 1024 * 1024 / 4096 * 2 + 512;
-  opts.readahead_blocks = 8;
   if (latency) {
     opts.latency = BenchLatency();
   }
@@ -130,6 +132,8 @@ bool MustFsck(FsBackend& backend, const char* tier) {
 struct ColdResult {
   double read_kb_s = 0;
   uint64_t device_reads = 0;
+  // Blocks Ffs's per-file readahead prefetched during the cold pass.
+  uint64_t readaheads = 0;
 };
 
 struct CachedResult {
@@ -137,7 +141,6 @@ struct CachedResult {
   double read_warm_kb_s = 0;
   double rewrite_kb_s = 0;
   double rewrite_hit_rate = 0;
-  uint64_t readaheads = 0;
   uint64_t writebacks = 0;
   uint64_t device_reads = 0;
   uint64_t device_writes = 0;
@@ -163,8 +166,10 @@ void RunLatencyTiers(size_t file_mb, ColdResult* cold, CachedResult* cached) {
   }
   BlockCache* cache = BackendFfs(**backend)->block_cache();
   const uint64_t reads_before = cache->stats().reads.load();
+  const uint64_t readaheads_before = cache->cache_stats().readaheads.load();
   cold->read_kb_s = MustRun(**backend, BonniePhase::kSeqInputBlock, file_mb);
   cold->device_reads = cache->stats().reads.load() - reads_before;
+  cold->readaheads = cache->cache_stats().readaheads.load() - readaheads_before;
   MustFsck(**backend, "cold_latency");
 
   std::printf("-- tier: warm cache + latency model --\n");
@@ -181,7 +186,6 @@ void RunLatencyTiers(size_t file_mb, ColdResult* cold, CachedResult* cached) {
   cached->rewrite_hit_rate =
       hits + misses == 0 ? 0.0
                          : static_cast<double>(hits) / (hits + misses);
-  cached->readaheads = cs.readaheads.load();
   cached->writebacks = cs.writebacks.load();
   cached->device_reads = cache->stats().reads.load();
   cached->device_writes = cache->stats().writes.load();
@@ -213,39 +217,75 @@ FastResult RunFastTier(size_t file_mb) {
 }
 
 // Concurrent reads of independent files through NfsServer. Returns ops/s.
+//
+// Every worker starts behind a barrier, runs a warm-up of the same shape,
+// and is then timed over a fixed wall-clock window. A short burst measures
+// how fast idle vCPUs come back, not the server: on a shared 4-vCPU VM even
+// a plain 4-thread compute loop can run on one CPU for up to ~1 s after a
+// mostly idle stretch, so the warm-up outlasts that.
 double NfsReadThroughput(NfsServer& server, const std::vector<NfsFh>& files,
-                         size_t threads, size_t ops_per_thread,
-                         size_t read_size) {
-  std::vector<std::thread> workers;
+                         size_t threads, size_t read_size) {
+  constexpr auto kWarmupTime = std::chrono::milliseconds(1500);
+  constexpr auto kWindow = std::chrono::milliseconds(500);
+  enum Phase : int { kStart, kWarmup, kTimed, kStop };
+  std::atomic<int> phase{kStart};
+  std::atomic<size_t> ready{0};
+  std::atomic<uint64_t> timed_ops{0};
   std::atomic<uint64_t> failures{0};
-  double start = NowSec();
+  std::vector<std::thread> workers;
   for (size_t t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
       const NfsFh fh = files[t % files.size()];
       uint64_t offset = 0;
-      for (size_t i = 0; i < ops_per_thread; ++i) {
+      uint64_t ops = 0;
+      uint64_t timed_from = 0;
+      bool timed = false;
+      ready.fetch_add(1);
+      while (phase.load(std::memory_order_acquire) == kStart) {
+        std::this_thread::yield();
+      }
+      for (;;) {
+        const int now = phase.load(std::memory_order_relaxed);
+        if (now == kStop) {
+          break;
+        }
+        if (now == kTimed && !timed) {
+          timed = true;
+          timed_from = ops;
+        }
         auto data = server.Read(fh, offset, static_cast<uint32_t>(read_size));
         if (!data.ok() || data->empty()) {
           failures.fetch_add(1);
           return;
         }
+        ++ops;
         offset += read_size;
         if (offset + read_size > 256 * 1024) {
           offset = 0;
         }
       }
+      timed_ops.fetch_add(timed ? ops - timed_from : 0);
     });
   }
+  while (ready.load() != threads) {
+    std::this_thread::yield();
+  }
+  phase.store(kWarmup, std::memory_order_release);
+  std::this_thread::sleep_for(kWarmupTime);
+  const double start = NowSec();
+  phase.store(kTimed);
+  std::this_thread::sleep_for(kWindow);
+  phase.store(kStop);
+  const double elapsed = NowSec() - start;
   for (auto& w : workers) {
     w.join();
   }
-  double elapsed = NowSec() - start;
   if (failures.load() != 0) {
     std::fprintf(stderr, "FATAL: %llu NFS read workers failed\n",
                  static_cast<unsigned long long>(failures.load()));
     std::exit(1);
   }
-  return threads * ops_per_thread / elapsed;
+  return timed_ops.load() / elapsed;
 }
 
 struct NfsResult {
@@ -300,11 +340,8 @@ NfsResult RunNfsTier() {
   }
 
   NfsResult out;
-  const size_t kOps = 20000;
-  // Warmup pass populates caches before either timed run.
-  NfsReadThroughput(server, files, 2, kOps / 4, 4096);
-  out.ops_s_1t = NfsReadThroughput(server, files, 1, kOps, 4096);
-  out.ops_s_4t = NfsReadThroughput(server, files, 4, kOps, 4096);
+  out.ops_s_1t = NfsReadThroughput(server, files, 1, 4096);
+  out.ops_s_4t = NfsReadThroughput(server, files, 4, 4096);
   out.scaling = out.ops_s_4t / out.ops_s_1t;
   std::printf("nfs read ops/s: 1t %.0f, 4t %.0f (scaling %.2fx)\n",
               out.ops_s_1t, out.ops_s_4t, out.scaling);
@@ -335,18 +372,19 @@ void WriteJson(std::FILE* f, size_t file_mb, const ColdResult& cold,
                "10},\n");
   std::fprintf(f,
                "  \"cold_latency\": {\"seq_input_block_kb_s\": %.0f, "
-               "\"device_reads\": %llu, \"fsck_clean\": true},\n",
+               "\"device_reads\": %llu, \"readaheads\": %llu, "
+               "\"fsck_clean\": true},\n",
                cold.read_kb_s,
-               static_cast<unsigned long long>(cold.device_reads));
+               static_cast<unsigned long long>(cold.device_reads),
+               static_cast<unsigned long long>(cold.readaheads));
   std::fprintf(
       f,
       "  \"cached_latency\": {\"seq_output_block_kb_s\": %.0f, "
       "\"seq_input_block_warm_kb_s\": %.0f, \"seq_rewrite_kb_s\": %.0f, "
-      "\"rewrite_hit_rate\": %.4f, \"readaheads\": %llu, "
-      "\"writebacks\": %llu, \"device_reads\": %llu, "
-      "\"device_writes\": %llu, \"fsck_clean\": true},\n",
-      c.write_kb_s, c.read_warm_kb_s, c.rewrite_kb_s,
-      c.rewrite_hit_rate, static_cast<unsigned long long>(c.readaheads),
+      "\"rewrite_hit_rate\": %.4f, \"writebacks\": %llu, "
+      "\"device_reads\": %llu, \"device_writes\": %llu, "
+      "\"fsck_clean\": true},\n",
+      c.write_kb_s, c.read_warm_kb_s, c.rewrite_kb_s, c.rewrite_hit_rate,
       static_cast<unsigned long long>(c.writebacks),
       static_cast<unsigned long long>(c.device_reads),
       static_cast<unsigned long long>(c.device_writes));
@@ -408,6 +446,12 @@ int Run(int argc, char** argv) {
                  "FATAL: warm cached read only %.2fx the cold mount — "
                  "the cache is not eliding device I/O\n",
                  warm_read_speedup);
+    return 1;
+  }
+  if (cold.readaheads == 0) {
+    std::fprintf(stderr,
+                 "FATAL: no readahead on the cold sequential read pass — "
+                 "per-file readahead is not firing\n");
     return 1;
   }
   if (cached.rewrite_hit_rate < 0.9) {

@@ -46,7 +46,7 @@ BlockCache::BlockCache(std::shared_ptr<BlockDevice> base,
 }
 
 BlockCache::~BlockCache() {
-  // Readahead fills may still be queued; they touch shards_ and base_.
+  // Prefetch fills may still be queued; they touch shards_ and base_.
   if (io_pool_ != nullptr) {
     io_pool_->Shutdown();
   }
@@ -68,10 +68,9 @@ WorkerPool* BlockCache::IoPool() {
   return io_pool_.get();
 }
 
-void BlockCache::TouchLocked(Shard& shard, uint64_t block, Entry& entry) {
-  shard.lru.erase(entry.lru_it);
-  shard.lru.push_front(block);
-  entry.lru_it = shard.lru.begin();
+void BlockCache::TouchLocked(Shard& shard, Entry& entry) {
+  // Relinks the node in place: a hit allocates nothing under the lock.
+  shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru_it);
 }
 
 void BlockCache::MarkDirtyLocked(Entry& entry) {
@@ -128,7 +127,7 @@ BlockCache::Entry* BlockCache::InsertLocked(Shard& shard, uint64_t block,
   while (shard.map.size() >= shard_capacity_) {
     uint64_t victim = 0;
     // Demand inserts keep strict LRU (a dirty victim is left for
-    // TrimLocked to write back); readahead settles for the oldest clean
+    // TrimLocked to write back); Prefetch settles for the oldest clean
     // idle entry rather than wait on a write-back.
     Entry* entry = LruIdleLocked(shard, &victim,
                                  /*clean_only=*/!allow_overflow);
@@ -177,12 +176,12 @@ Status BlockCache::AcquireLocked(Shard& shard, Lock& lock, uint64_t block,
         shard.cv.wait(lock);
         continue;
       }
-      cache_stats_.hits.fetch_add(1, std::memory_order_relaxed);
-      TouchLocked(shard, block, it->second);
+      shard.hits.fetch_add(1, std::memory_order_relaxed);
+      TouchLocked(shard, it->second);
       *out = &it->second;
       return OkStatus();
     }
-    cache_stats_.misses.fetch_add(1, std::memory_order_relaxed);
+    shard.misses.fetch_add(1, std::memory_order_relaxed);
     Entry* entry = InsertLocked(shard, block, /*allow_overflow=*/true);
     if (fill_from_device) {
       entry->filling = true;
@@ -202,23 +201,25 @@ Status BlockCache::AcquireLocked(Shard& shard, Lock& lock, uint64_t block,
 }
 
 Status BlockCache::Read(uint64_t block, uint8_t* buf) {
+  return ReadPart(block, 0, block_size_, buf);
+}
+
+Status BlockCache::ReadPart(uint64_t block, size_t offset, size_t len,
+                            uint8_t* out) {
   if (block >= base_->block_count()) {
     return OutOfRangeError(StrPrintf("cache read past device end: block %llu",
                                      static_cast<unsigned long long>(block)));
   }
-  {
-    Shard& shard = ShardFor(block);
-    Lock lock(shard.mu);
-    Entry* entry = nullptr;
-    RETURN_IF_ERROR(AcquireLocked(shard, lock, block,
-                                  /*fill_from_device=*/true, &entry));
-    std::memcpy(buf, entry->data.data(), block_size_);
-    RETURN_IF_ERROR(TrimLocked(shard, lock));
+  if (offset + len > block_size_) {
+    return OutOfRangeError("cache read past block end");
   }
-  if (opts_.readahead_blocks > 0) {
-    NoteSequentialRead(block);
-  }
-  return OkStatus();
+  Shard& shard = ShardFor(block);
+  Lock lock(shard.mu);
+  Entry* entry = nullptr;
+  RETURN_IF_ERROR(AcquireLocked(shard, lock, block, /*fill_from_device=*/true,
+                                &entry));
+  std::memcpy(out, entry->data.data() + offset, len);
+  return TrimLocked(shard, lock);
 }
 
 Status BlockCache::ReadBlocks(const std::vector<uint64_t>& blocks,
@@ -246,12 +247,12 @@ Status BlockCache::ReadBlocks(const std::vector<uint64_t>& blocks,
         in_flight.push_back(i);
         continue;
       }
-      cache_stats_.hits.fetch_add(1, std::memory_order_relaxed);
-      TouchLocked(shard, blocks[i], it->second);
+      shard.hits.fetch_add(1, std::memory_order_relaxed);
+      TouchLocked(shard, it->second);
       std::memcpy(out + i * block_size_, it->second.data.data(), block_size_);
       continue;
     }
-    cache_stats_.misses.fetch_add(1, std::memory_order_relaxed);
+    shard.misses.fetch_add(1, std::memory_order_relaxed);
     Entry* entry = InsertLocked(shard, blocks[i], /*allow_overflow=*/true);
     entry->filling = true;
     if (batch == nullptr) {
@@ -270,11 +271,6 @@ Status BlockCache::ReadBlocks(const std::vector<uint64_t>& blocks,
                                   /*fill_from_device=*/true, &entry));
     std::memcpy(out + i * block_size_, entry->data.data(), block_size_);
     RETURN_IF_ERROR(TrimLocked(shard, lock));
-  }
-  if (opts_.readahead_blocks > 0) {
-    for (uint64_t block : blocks) {
-      NoteSequentialRead(block);
-    }
   }
   return OkStatus();
 }
@@ -448,9 +444,23 @@ size_t BlockCache::cached_blocks() const {
   return total;
 }
 
+const BlockCacheStats& BlockCache::cache_stats() const {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  for (const auto& shard : shards_) {
+    hits += shard->hits.load(std::memory_order_relaxed);
+    misses += shard->misses.load(std::memory_order_relaxed);
+  }
+  cache_stats_.hits.store(hits, std::memory_order_relaxed);
+  cache_stats_.misses.store(misses, std::memory_order_relaxed);
+  return cache_stats_;
+}
+
 void BlockCache::ResetCacheStats() {
-  cache_stats_.hits.store(0, std::memory_order_relaxed);
-  cache_stats_.misses.store(0, std::memory_order_relaxed);
+  for (auto& shard : shards_) {
+    shard->hits.store(0, std::memory_order_relaxed);
+    shard->misses.store(0, std::memory_order_relaxed);
+  }
   cache_stats_.evictions.store(0, std::memory_order_relaxed);
   cache_stats_.writebacks.store(0, std::memory_order_relaxed);
   cache_stats_.readaheads.store(0, std::memory_order_relaxed);
@@ -464,14 +474,15 @@ void BlockCache::RegisterMetrics(obs::MetricsRegistry* registry) {
         auto load = [](const std::atomic<uint64_t>& v) {
           return static_cast<double>(v.load(std::memory_order_relaxed));
         };
+        const BlockCacheStats& stats = cache_stats();
         return std::vector<obs::GaugeSample>{
-            {"kind=\"hits\"", load(cache_stats_.hits)},
-            {"kind=\"misses\"", load(cache_stats_.misses)},
-            {"kind=\"evictions\"", load(cache_stats_.evictions)},
-            {"kind=\"writebacks\"", load(cache_stats_.writebacks)},
-            {"kind=\"readaheads\"", load(cache_stats_.readaheads)},
-            {"kind=\"sync_flushes\"", load(cache_stats_.sync_flushes)},
-            {"kind=\"dropped_dirty\"", load(cache_stats_.dropped_dirty)},
+            {"kind=\"hits\"", load(stats.hits)},
+            {"kind=\"misses\"", load(stats.misses)},
+            {"kind=\"evictions\"", load(stats.evictions)},
+            {"kind=\"writebacks\"", load(stats.writebacks)},
+            {"kind=\"readaheads\"", load(stats.readaheads)},
+            {"kind=\"sync_flushes\"", load(stats.sync_flushes)},
+            {"kind=\"dropped_dirty\"", load(stats.dropped_dirty)},
         };
       });
   registry->RegisterGauge("discfs_block_cache_dirty_blocks",
@@ -486,51 +497,12 @@ void BlockCache::RegisterMetrics(obs::MetricsRegistry* registry) {
                           });
 }
 
-void BlockCache::NoteSequentialRead(uint64_t block) {
-  uint64_t ra_begin = 0;
-  uint64_t ra_end = 0;
-  {
-    std::lock_guard<std::mutex> lock(ra_mu_);
-    Stream* stream = nullptr;
-    for (auto& s : streams_) {
-      if (s.next_block == block) {
-        stream = &s;
-        break;
-      }
-    }
-    if (stream == nullptr) {
-      // New (or broken) stream: claim a slot round-robin and start a run.
-      stream = &streams_[stream_clock_++ % kStreams];
-      stream->next_block = block + 1;
-      stream->run_len = 1;
-      stream->prefetched_to = block + 1;
-      return;
-    }
-    stream->next_block = block + 1;
-    stream->run_len++;
-    if (stream->run_len < 2) {
-      return;
-    }
-    // Confirmed sequential: keep the window opts_.readahead_blocks
-    // ahead of the cursor, never re-prefetching what we already did.
-    uint64_t want_end = block + 1 + opts_.readahead_blocks;
-    want_end = std::min<uint64_t>(want_end, base_->block_count());
-    if (want_end <= stream->prefetched_to) {
-      return;
-    }
-    ra_begin = std::max(block + 1, stream->prefetched_to);
-    ra_end = want_end;
-    stream->prefetched_to = want_end;
-  }
-  PrefetchRange(ra_begin, ra_end);
-}
-
-void BlockCache::PrefetchRange(uint64_t begin, uint64_t end) {
-  // Claim on the caller's thread so a read that arrives before the fill
-  // waits for it instead of missing; fill on the I/O pool. Readahead is
-  // opportunistic: it only takes clean idle victims and never waits.
+void BlockCache::Prefetch(const std::vector<uint64_t>& blocks) {
   std::shared_ptr<FillBatch> batch;
-  for (uint64_t block = begin; block < end; ++block) {
+  for (uint64_t block : blocks) {
+    if (block >= base_->block_count()) {
+      continue;
+    }
     Shard& shard = ShardFor(block);
     std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.map.count(block) != 0) {
@@ -600,6 +572,13 @@ void BlockCache::FlusherMain() {
     }
     if (stop_flusher_) {
       return;
+    }
+    // A clean cache needs no sweep, which would hold each shard lock in
+    // turn while walking its LRU list: readers blocked behind it are woken
+    // onto the flusher's CPU, and a stream of such wakeups can pile every
+    // reader onto one CPU.
+    if (dirty_count_.load(std::memory_order_relaxed) == 0) {
+      continue;
     }
     lock.unlock();
     (void)FlushSome(~0ULL, nullptr);

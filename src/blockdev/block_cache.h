@@ -1,10 +1,10 @@
-// Sharded write-back block cache with sequential readahead.
+// Sharded write-back block cache with a prefetch mechanism.
 //
 // Sits between Ffs and a backing BlockDevice. Same shard idiom as
 // PolicyCache / VerifiedSignatureCache: N independent shards, each a
 // mutex + LRU list + hash map, so unrelated blocks never contend.
 // Consecutive blocks map to the same shard in groups of 8 so a
-// sequential scan (and its readahead) stays shard-local.
+// sequential scan (and its prefetch) stays shard-local.
 //
 // Write policy is write-back: Write()/Modify() dirty the cached copy
 // without touching the device. Dirty blocks reach the device via
@@ -29,8 +29,10 @@
 // dropped, and marks it clean only if no newer write landed meanwhile
 // (the entry's version is unchanged). Eviction skips busy entries.
 // ReadBlocks() claims every missing block of an extent at once and fills
-// them in parallel on a small I/O pool; readahead is fire-and-forget on
-// the same pool. See README.md in this directory for the full design.
+// them in parallel on a small I/O pool; Prefetch() is fire-and-forget on
+// the same pool. The cache never decides what to prefetch: Ffs, which
+// knows which blocks belong to one file and in what order, does. See
+// README.md in this directory for the full design.
 #ifndef DISCFS_SRC_BLOCKDEV_BLOCK_CACHE_H_
 #define DISCFS_SRC_BLOCKDEV_BLOCK_CACHE_H_
 
@@ -60,9 +62,6 @@ struct BlockCacheOptions {
   size_t capacity_blocks = 1024;
   // 0 = derived from capacity (~64 blocks/shard, power of two, <= 16).
   size_t num_shards = 0;
-  // Blocks prefetched ahead of a detected sequential read stream.
-  // 0 disables readahead.
-  size_t readahead_blocks = 8;
   // Flusher wakes when this many blocks are dirty. 0 = capacity/4.
   size_t flush_watermark = 0;
   // Periodic flush interval. 0 disables the periodic wakeup (the
@@ -78,7 +77,7 @@ struct BlockCacheStats {
   std::atomic<uint64_t> misses{0};
   std::atomic<uint64_t> evictions{0};
   std::atomic<uint64_t> writebacks{0};
-  std::atomic<uint64_t> readaheads{0};
+  std::atomic<uint64_t> readaheads{0};  // blocks filled by Prefetch()
   std::atomic<uint64_t> sync_flushes{0};
   std::atomic<uint64_t> dropped_dirty{0};
 };
@@ -93,12 +92,22 @@ class BlockCache : public BlockDevice {
   uint64_t block_count() const override { return base_->block_count(); }
 
   Status Read(uint64_t block, uint8_t* buf) override;
+  // Reads `len` bytes at `offset` within `block` (offset + len <=
+  // block_size()): a pointer slot, an inode, or the part of a block a
+  // small file read wants, without copying the rest of the block.
+  Status ReadPart(uint64_t block, size_t offset, size_t len, uint8_t* out);
   // Reads `blocks` into `out` (blocks.size() * block_size() bytes, in
   // order). Every missing block is claimed up front and the claims are
   // filled concurrently on the I/O pool and the calling thread, so an
   // extent of N cold blocks costs about N / (pool size + 1) device
   // latencies instead of N.
   Status ReadBlocks(const std::vector<uint64_t>& blocks, uint8_t* out);
+  // Fire-and-forget readahead: claims each absent block of `blocks` on the
+  // calling thread (so a read arriving before the fill waits for it rather
+  // than missing) and fills the claims on the I/O pool. Opportunistic: it
+  // only takes clean idle victims, stops at the first full shard without
+  // one, never waits, and starts no pool when nothing is claimed.
+  void Prefetch(const std::vector<uint64_t>& blocks);
   // Full-block overwrite: installs the new contents dirty without
   // reading the device.
   Status Write(uint64_t block, const uint8_t* buf) override;
@@ -120,7 +129,10 @@ class BlockCache : public BlockDevice {
 
   // Physical I/O counters (the backing device's).
   const BlockDeviceStats& stats() const override { return base_->stats(); }
-  const BlockCacheStats& cache_stats() const { return cache_stats_; }
+  // Hits and misses are counted per shard, next to the shard lock, so a
+  // hit writes no process-wide cache line; each call folds them into the
+  // returned counters. Call it again for fresh values.
+  const BlockCacheStats& cache_stats() const;
   void ResetCacheStats();
 
   // Exports the cache counters (and dirty/cached block levels) as gauges
@@ -151,19 +163,16 @@ class BlockCache : public BlockDevice {
     std::list<uint64_t>::iterator lru_it;
     bool busy() const { return filling || writing; }
   };
-  struct Shard {
+  // Line-aligned so neighbouring shards' locks never share a cache line.
+  struct alignas(64) Shard {
     std::mutex mu;
     // Signalled whenever a fill or a write-back in this shard ends.
     std::condition_variable cv;
     std::unordered_map<uint64_t, Entry> map;
     // Front = most recently used.
     std::list<uint64_t> lru;
-  };
-  // Readahead stream detector: a small table of recent access cursors.
-  struct Stream {
-    uint64_t next_block = ~0ULL;  // expected next sequential block
-    uint64_t prefetched_to = 0;   // exclusive upper bound of prefetch
-    uint32_t run_len = 0;
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
   };
   // Claimed (`filling`) entries to fill from the device. Helpers on the
   // I/O pool and, for ReadBlocks, the calling thread pull claims off a
@@ -173,7 +182,7 @@ class BlockCache : public BlockDevice {
     struct Claim {
       uint64_t block;
       Entry* entry;
-      uint8_t* out;  // where to copy the filled block; null for readahead
+      uint8_t* out;  // where to copy the filled block; null for Prefetch
     };
     std::vector<Claim> claims;
     std::atomic<size_t> next{0};
@@ -189,8 +198,12 @@ class BlockCache : public BlockDevice {
 
   Shard& ShardFor(uint64_t block) {
     // Group 8 consecutive blocks per shard so sequential runs and their
-    // readahead stay mostly shard-local.
-    return *shards_[(block >> 3) & shard_mask_];
+    // prefetch stay mostly shard-local, and scatter the groups with a
+    // multiplicative hash: with plain `group & mask`, files laid out a
+    // multiple of 8 * shards blocks apart share a shard at every offset,
+    // and streams reading them in step convoy on one lock.
+    const uint64_t group = block >> 3;
+    return *shards_[(group * 0x9E3779B97F4A7C15ULL >> 32) & shard_mask_];
   }
 
   // *Locked helpers require the shard's mutex held. Those taking its
@@ -207,7 +220,7 @@ class BlockCache : public BlockDevice {
   // victims while the shard is full. Never drops the lock. With
   // `allow_overflow` (demand misses) the victim is the LRU-most idle
   // entry; when it is dirty, or every entry is busy, the shard is left
-  // over capacity for TrimLocked to fix. Without it (readahead) the
+  // over capacity for TrimLocked to fix. Without it (Prefetch) the
   // victim is the LRU-most clean idle entry, and when there is none it
   // inserts nothing and returns null.
   Entry* InsertLocked(Shard& shard, uint64_t block, bool allow_overflow);
@@ -222,7 +235,7 @@ class BlockCache : public BlockDevice {
                          Entry& entry);
   void EraseLocked(Shard& shard, uint64_t block);
   void MarkDirtyLocked(Entry& entry);
-  void TouchLocked(Shard& shard, uint64_t block, Entry& entry);
+  void TouchLocked(Shard& shard, Entry& entry);
 
   // Runs the non-empty `batch` on the I/O pool; with `wait`, the caller
   // fills claims too and returns the first fill error once every claim is
@@ -231,9 +244,6 @@ class BlockCache : public BlockDevice {
   void DrainBatch(FillBatch& batch);
   Status FillClaim(const FillBatch::Claim& claim);
   WorkerPool* IoPool();
-
-  void NoteSequentialRead(uint64_t block);
-  void PrefetchRange(uint64_t begin, uint64_t end);
 
   Status FlushSome(size_t max_blocks, uint64_t* flushed);
   void FlusherMain();
@@ -246,12 +256,7 @@ class BlockCache : public BlockDevice {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<size_t> dirty_count_{0};
-  BlockCacheStats cache_stats_;
-
-  std::mutex ra_mu_;
-  static constexpr size_t kStreams = 8;
-  Stream streams_[kStreams];
-  size_t stream_clock_ = 0;
+  mutable BlockCacheStats cache_stats_;
 
   std::mutex flusher_mu_;
   std::condition_variable flusher_cv_;

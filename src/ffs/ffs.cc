@@ -151,13 +151,24 @@ struct Ffs::DiskInode {
 // GetAttr/Lookup stop re-reading (and re-parsing) inode-table blocks. It is
 // never dirty relative to the block layer: WriteInode updates the cached
 // copy and patches the on-disk block in the same call.
+//
+// Each entry also carries the inode's readahead cursor: never serialized,
+// kept across WriteInode, lost (the stream restarts) on eviction.
 struct Ffs::InodeCache {
-  struct Shard {
+  struct ReadCursor {
+    uint64_t next_offset = ~0ULL;  // where the last read ended
+    uint64_t prefetched_to = 0;    // file block readahead has reached
+  };
+  struct Entry {
+    DiskInode node;
+    ReadCursor cursor;
+    std::list<InodeNum>::iterator lru_it;
+  };
+  // Line-aligned so neighbouring shards' locks never share a cache line.
+  struct alignas(64) Shard {
     std::mutex mu;
     std::list<InodeNum> lru;  // front = most recently used
-    std::unordered_map<InodeNum,
-                       std::pair<DiskInode, std::list<InodeNum>::iterator>>
-        map;
+    std::unordered_map<InodeNum, Entry> map;
   };
 
   explicit InodeCache(size_t capacity) {
@@ -174,6 +185,11 @@ struct Ffs::InodeCache {
     return *shards[inode & (shards.size() - 1)];
   }
 
+  // Relinks the node in place: a hit allocates nothing under the lock.
+  static void Touch(Shard& s, Entry& entry) {
+    s.lru.splice(s.lru.begin(), s.lru, entry.lru_it);
+  }
+
   bool Get(InodeNum inode, DiskInode* out) {
     Shard& s = ShardFor(inode);
     std::lock_guard<std::mutex> lock(s.mu);
@@ -181,10 +197,8 @@ struct Ffs::InodeCache {
     if (it == s.map.end()) {
       return false;
     }
-    s.lru.erase(it->second.second);
-    s.lru.push_front(inode);
-    it->second.second = s.lru.begin();
-    *out = it->second.first;
+    Touch(s, it->second);
+    *out = it->second.node;
     return true;
   }
 
@@ -197,13 +211,11 @@ struct Ffs::InodeCache {
     auto it = s.map.find(inode);
     if (it != s.map.end()) {
       if (overwrite) {
-        it->second.first = node;
+        it->second.node = node;
       }
-      s.lru.erase(it->second.second);
-      s.lru.push_front(inode);
-      it->second.second = s.lru.begin();
+      Touch(s, it->second);
       if (winner != nullptr) {
-        *winner = it->second.first;
+        *winner = it->second.node;
       }
       return;
     }
@@ -212,10 +224,43 @@ struct Ffs::InodeCache {
       s.lru.pop_back();
     }
     s.lru.push_front(inode);
-    s.map.emplace(inode, std::make_pair(node, s.lru.begin()));
+    s.map.emplace(inode, Entry{node, ReadCursor{}, s.lru.begin()});
     if (winner != nullptr) {
       *winner = node;
     }
+  }
+
+  // The readahead policy (see src/ffs/README.md). Records a read of bytes
+  // [offset, end); when the read is sequential and less than half a window
+  // is left prefetched ahead of it, returns true and the file blocks
+  // [*from, *to) to prefetch, up to `window` past the read and EOF.
+  bool NoteRead(InodeNum inode, uint64_t offset, uint64_t end, uint32_t bs,
+                uint64_t window, uint64_t* from, uint64_t* to) {
+    Shard& s = ShardFor(inode);
+    std::lock_guard<std::mutex> lock(s.mu);
+    auto it = s.map.find(inode);
+    if (it == s.map.end()) {
+      return false;
+    }
+    ReadCursor& cursor = it->second.cursor;
+    const bool sequential = offset == cursor.next_offset;
+    const uint64_t end_block = (end + bs - 1) / bs;
+    cursor.next_offset = end;
+    if (!sequential) {
+      cursor.prefetched_to = end_block;
+      return false;
+    }
+    if (cursor.prefetched_to >= end_block + window / 2) {
+      return false;
+    }
+    const uint64_t eof_block = (it->second.node.size + bs - 1) / bs;
+    *from = std::max(end_block, cursor.prefetched_to);
+    *to = std::min(end_block + window, eof_block);
+    if (*from >= *to) {
+      return false;
+    }
+    cursor.prefetched_to = *to;
+    return true;
   }
 
   std::vector<std::unique_ptr<Shard>> shards;
@@ -324,9 +369,9 @@ Result<bool> Ffs::BitmapGet(uint64_t bitmap_start, uint64_t index) {
   const uint32_t bs = sb_->block_size;
   uint64_t block = bitmap_start + index / (static_cast<uint64_t>(bs) * 8);
   uint32_t bit = static_cast<uint32_t>(index % (static_cast<uint64_t>(bs) * 8));
-  std::vector<uint8_t> buf(bs);
-  RETURN_IF_ERROR(cache_->Read(block, buf.data()));
-  return (buf[bit / 8] >> (bit % 8)) & 1;
+  uint8_t byte = 0;
+  RETURN_IF_ERROR(cache_->ReadPart(block, bit / 8, 1, &byte));
+  return (byte >> (bit % 8)) & 1;
 }
 
 Status Ffs::BitmapSet(uint64_t bitmap_start, uint64_t index, bool value) {
@@ -384,9 +429,9 @@ Result<Ffs::DiskInode> Ffs::ReadInode(InodeNum inode) {
   const uint32_t inodes_per_block = sb_->block_size / kInodeSize;
   uint64_t block = sb_->inode_table_start + inode / inodes_per_block;
   uint32_t offset = (inode % inodes_per_block) * kInodeSize;
-  std::vector<uint8_t> buf(sb_->block_size);
-  RETURN_IF_ERROR(cache_->Read(block, buf.data()));
-  DiskInode node = DiskInode::Deserialize(buf.data() + offset);
+  uint8_t raw[kInodeSize];
+  RETURN_IF_ERROR(cache_->ReadPart(block, offset, kInodeSize, raw));
+  DiskInode node = DiskInode::Deserialize(raw);
   // Fill without overwriting: a concurrent WriteInode may have installed a
   // newer copy than the block we just read — that copy wins.
   DiskInode winner;
@@ -474,13 +519,13 @@ Status Ffs::FreeBlock(uint64_t block) {
 // ------------------------------------------------------------- block maps
 
 Result<uint64_t> Ffs::BMap(DiskInode& node, uint64_t file_block, bool allocate,
-                           bool& dirty) {
+                           bool& dirty, bool clear) {
   const uint64_t ppb = sb_->block_size / 4;  // pointers per block
 
   auto load_ptr = [&](uint64_t block, uint64_t idx) -> Result<uint32_t> {
-    std::vector<uint8_t> buf(sb_->block_size);
-    RETURN_IF_ERROR(cache_->Read(block, buf.data()));
-    return LoadU32(buf.data() + 4 * idx);
+    uint8_t ptr[4];
+    RETURN_IF_ERROR(cache_->ReadPart(block, 4 * idx, 4, ptr));
+    return LoadU32(ptr);
   };
   auto store_ptr = [&](uint64_t block, uint64_t idx,
                        uint32_t value) -> Status {
@@ -496,6 +541,9 @@ Result<uint64_t> Ffs::BMap(DiskInode& node, uint64_t file_block, bool allocate,
       ptr = static_cast<uint32_t>(fresh);
       node.direct[file_block] = ptr;
       dirty = true;
+    }
+    if (clear) {
+      node.direct[file_block] = 0;
     }
     return ptr;
   }
@@ -515,6 +563,9 @@ Result<uint64_t> Ffs::BMap(DiskInode& node, uint64_t file_block, bool allocate,
       ASSIGN_OR_RETURN(uint64_t fresh, AllocBlock());
       ptr = static_cast<uint32_t>(fresh);
       RETURN_IF_ERROR(store_ptr(node.indirect, file_block, ptr));
+    }
+    if (clear && ptr != 0) {
+      RETURN_IF_ERROR(store_ptr(node.indirect, file_block, 0));
     }
     return uint64_t{ptr};
   }
@@ -546,46 +597,44 @@ Result<uint64_t> Ffs::BMap(DiskInode& node, uint64_t file_block, bool allocate,
       ptr = static_cast<uint32_t>(fresh);
       RETURN_IF_ERROR(store_ptr(l1, inner, ptr));
     }
+    if (clear && ptr != 0) {
+      RETURN_IF_ERROR(store_ptr(l1, inner, 0));
+    }
     return uint64_t{ptr};
   }
   return OutOfRangeError("file offset beyond maximum file size");
 }
 
-Status Ffs::FreeAllBlocks(DiskInode& node) {
-  const uint64_t ppb = sb_->block_size / 4;
-  for (size_t i = 0; i < kDirectBlocks; ++i) {
-    if (node.direct[i] != 0) {
-      RETURN_IF_ERROR(FreeBlock(node.direct[i]));
-      node.direct[i] = 0;
+Status Ffs::ForEachBlock(const DiskInode& node,
+                         const std::function<Status(uint64_t)>& fn) {
+  // Visits `block` after every block it maps, `depth` levels down.
+  std::function<Status(uint32_t, int)> visit = [&](uint32_t block,
+                                                   int depth) -> Status {
+    if (block == 0) {
+      return OkStatus();
     }
-  }
-  auto free_indirect = [&](uint32_t block) -> Status {
-    std::vector<uint8_t> buf(sb_->block_size);
-    RETURN_IF_ERROR(cache_->Read(block, buf.data()));
-    for (uint64_t i = 0; i < ppb; ++i) {
-      uint32_t ptr = LoadU32(buf.data() + 4 * i);
-      if (ptr != 0) {
-        RETURN_IF_ERROR(FreeBlock(ptr));
+    if (depth > 0) {
+      std::vector<uint8_t> buf(sb_->block_size);
+      RETURN_IF_ERROR(cache_->Read(block, buf.data()));
+      for (size_t i = 0; i < buf.size(); i += 4) {
+        RETURN_IF_ERROR(visit(LoadU32(buf.data() + i), depth - 1));
       }
     }
-    return FreeBlock(block);
+    return fn(block);
   };
-  if (node.indirect != 0) {
-    RETURN_IF_ERROR(free_indirect(node.indirect));
-    node.indirect = 0;
+  for (uint32_t block : node.direct) {
+    RETURN_IF_ERROR(visit(block, 0));
   }
-  if (node.double_indirect != 0) {
-    std::vector<uint8_t> buf(sb_->block_size);
-    RETURN_IF_ERROR(cache_->Read(node.double_indirect, buf.data()));
-    for (uint64_t i = 0; i < ppb; ++i) {
-      uint32_t l1 = LoadU32(buf.data() + 4 * i);
-      if (l1 != 0) {
-        RETURN_IF_ERROR(free_indirect(l1));
-      }
-    }
-    RETURN_IF_ERROR(FreeBlock(node.double_indirect));
-    node.double_indirect = 0;
-  }
+  RETURN_IF_ERROR(visit(node.indirect, 1));
+  return visit(node.double_indirect, 2);
+}
+
+Status Ffs::FreeAllBlocks(DiskInode& node) {
+  RETURN_IF_ERROR(
+      ForEachBlock(node, [this](uint64_t block) { return FreeBlock(block); }));
+  std::fill(std::begin(node.direct), std::end(node.direct), 0);
+  node.indirect = 0;
+  node.double_indirect = 0;
   return OkStatus();
 }
 
@@ -601,35 +650,11 @@ Status Ffs::TruncateTo(InodeNum inode, DiskInode& node, uint64_t new_size) {
   uint64_t old_blocks = (node.size + bs - 1) / bs;
   bool dirty = false;
   for (uint64_t fb = keep_blocks; fb < old_blocks; ++fb) {
-    ASSIGN_OR_RETURN(uint64_t block, BMap(node, fb, false, dirty));
+    // Unmap the block (indirect blocks stay allocated), then free it.
+    ASSIGN_OR_RETURN(uint64_t block,
+                     BMap(node, fb, false, dirty, /*clear=*/true));
     if (block != 0) {
       RETURN_IF_ERROR(FreeBlock(block));
-      // Clear the pointer. Walk again with a direct clear: cheapest is to
-      // re-run BMap paths; for simplicity clear direct pointers inline and
-      // leave indirect slots (they are zeroed lazily below).
-      if (fb < kDirectBlocks) {
-        node.direct[fb] = 0;
-      } else {
-        // Zero the slot in the (double-)indirect tree.
-        const uint64_t ppb = bs / 4;
-        uint64_t rel = fb - kDirectBlocks;
-        if (rel < ppb) {
-          RETURN_IF_ERROR(cache_->Modify(node.indirect, [rel](uint8_t* buf) {
-            StoreU32(buf + 4 * rel, 0);
-          }));
-        } else {
-          rel -= ppb;
-          std::vector<uint8_t> buf(bs);
-          RETURN_IF_ERROR(cache_->Read(node.double_indirect, buf.data()));
-          uint32_t l1 = LoadU32(buf.data() + 4 * (rel / ppb));
-          if (l1 != 0) {
-            uint64_t slot = rel % ppb;
-            RETURN_IF_ERROR(cache_->Modify(l1, [slot](uint8_t* buf2) {
-              StoreU32(buf2 + 4 * slot, 0);
-            }));
-          }
-        }
-      }
     }
   }
   if (new_size % bs != 0) {
@@ -667,9 +692,7 @@ Result<size_t> Ffs::ReadInternal(DiskInode& node, uint64_t offset, size_t len,
       std::memset(out, 0, len);  // hole
       return len;
     }
-    std::vector<uint8_t> buf(bs);
-    RETURN_IF_ERROR(cache_->Read(block, buf.data()));
-    std::memcpy(out, buf.data() + offset % bs, len);
+    RETURN_IF_ERROR(cache_->ReadPart(block, offset % bs, len, out));
     return len;
   }
   // Map the whole extent first, then fetch its blocks in one batch so the
@@ -745,42 +768,45 @@ Result<size_t> Ffs::WriteInternal(InodeNum inode, DiskInode& node,
 
 // ------------------------------------------------------------ directories
 
-Result<std::optional<std::pair<uint32_t, DirEntry>>> Ffs::FindEntry(
-    const DiskInode& dir_node, const std::string& name) {
+Status Ffs::ScanDir(
+    const DiskInode& dir_node,
+    const std::function<bool(uint32_t slot, const uint8_t* entry)>& fn) {
   const uint32_t bs = sb_->block_size;
-  DiskInode node = dir_node;  // ReadInternal takes non-const for BMap
-  uint64_t slots = node.size / kDirEntrySize;
-  std::vector<uint8_t> buf(bs);
   const uint32_t entries_per_block = bs / kDirEntrySize;
+  DiskInode node = dir_node;  // BMap takes non-const
+  std::vector<uint8_t> buf(bs);
   bool dirty = false;
-  for (uint64_t slot = 0; slot < slots; ++slot) {
-    uint64_t fb = slot / entries_per_block;
+  for (uint64_t slot = 0; slot < node.size / kDirEntrySize; ++slot) {
     if (slot % entries_per_block == 0) {
-      ASSIGN_OR_RETURN(uint64_t block, BMap(node, fb, false, dirty));
+      ASSIGN_OR_RETURN(uint64_t block,
+                       BMap(node, slot / entries_per_block, false, dirty));
       if (block == 0) {
         std::memset(buf.data(), 0, bs);
       } else {
         RETURN_IF_ERROR(cache_->Read(block, buf.data()));
       }
     }
-    const uint8_t* e =
-        buf.data() + (slot % entries_per_block) * kDirEntrySize;
-    uint32_t ino = LoadU32(e);
-    if (ino == 0) {
-      continue;
-    }
-    uint8_t name_len = e[5];
-    if (name_len == name.size() &&
-        std::memcmp(e + 6, name.data(), name_len) == 0) {
-      DirEntry entry;
-      entry.inode = ino;
-      entry.type = static_cast<FileType>(e[4]);
-      entry.name = name;
-      return std::optional<std::pair<uint32_t, DirEntry>>(
-          std::make_pair(static_cast<uint32_t>(slot), entry));
+    if (!fn(static_cast<uint32_t>(slot),
+            buf.data() + (slot % entries_per_block) * kDirEntrySize)) {
+      break;
     }
   }
-  return std::optional<std::pair<uint32_t, DirEntry>>(std::nullopt);
+  return OkStatus();
+}
+
+Result<std::optional<std::pair<uint32_t, DirEntry>>> Ffs::FindEntry(
+    const DiskInode& dir_node, const std::string& name) {
+  std::optional<std::pair<uint32_t, DirEntry>> found;
+  RETURN_IF_ERROR(ScanDir(dir_node, [&](uint32_t slot, const uint8_t* e) {
+    uint32_t ino = LoadU32(e);
+    if (ino == 0 || e[5] != name.size() ||
+        std::memcmp(e + 6, name.data(), name.size()) != 0) {
+      return true;
+    }
+    found.emplace(slot, DirEntry{name, ino, static_cast<FileType>(e[4])});
+    return false;
+  }));
+  return found;
 }
 
 Status Ffs::AddEntry(InodeNum dir, DiskInode& dir_node,
@@ -793,27 +819,14 @@ Status Ffs::AddEntry(InodeNum dir, DiskInode& dir_node,
     return InvalidArgumentError("invalid file name");
   }
   // Find a free slot (or append).
-  uint64_t slots = dir_node.size / kDirEntrySize;
-  uint64_t target_slot = slots;
-  const uint32_t entries_per_block = sb_->block_size / kDirEntrySize;
-  std::vector<uint8_t> buf(sb_->block_size);
-  bool dirty = false;
-  for (uint64_t slot = 0; slot < slots; ++slot) {
-    uint64_t fb = slot / entries_per_block;
-    if (slot % entries_per_block == 0) {
-      ASSIGN_OR_RETURN(uint64_t block, BMap(dir_node, fb, false, dirty));
-      if (block == 0) {
-        std::memset(buf.data(), 0, sb_->block_size);
-      } else {
-        RETURN_IF_ERROR(cache_->Read(block, buf.data()));
-      }
+  uint64_t target_slot = dir_node.size / kDirEntrySize;
+  RETURN_IF_ERROR(ScanDir(dir_node, [&](uint32_t slot, const uint8_t* e) {
+    if (LoadU32(e) != 0) {
+      return true;
     }
-    if (LoadU32(buf.data() + (slot % entries_per_block) * kDirEntrySize) ==
-        0) {
-      target_slot = slot;
-      break;
-    }
-  }
+    target_slot = slot;
+    return false;
+  }));
   uint8_t entry[kDirEntrySize] = {0};
   StoreU32(entry, target);
   entry[4] = static_cast<uint8_t>(type);
@@ -843,27 +856,12 @@ Status Ffs::RemoveEntrySlot(DiskInode& dir_node, uint32_t slot) {
 }
 
 Result<bool> Ffs::DirIsEmpty(const DiskInode& dir_node) {
-  DiskInode node = dir_node;
-  uint64_t slots = node.size / kDirEntrySize;
-  const uint32_t entries_per_block = sb_->block_size / kDirEntrySize;
-  std::vector<uint8_t> buf(sb_->block_size);
-  bool dirty = false;
-  for (uint64_t slot = 0; slot < slots; ++slot) {
-    if (slot % entries_per_block == 0) {
-      ASSIGN_OR_RETURN(uint64_t block,
-                       BMap(node, slot / entries_per_block, false, dirty));
-      if (block == 0) {
-        std::memset(buf.data(), 0, sb_->block_size);
-      } else {
-        RETURN_IF_ERROR(cache_->Read(block, buf.data()));
-      }
-    }
-    if (LoadU32(buf.data() + (slot % entries_per_block) * kDirEntrySize) !=
-        0) {
-      return false;
-    }
-  }
-  return true;
+  bool empty = true;
+  RETURN_IF_ERROR(ScanDir(dir_node, [&empty](uint32_t, const uint8_t* e) {
+    empty = LoadU32(e) == 0;
+    return empty;
+  }));
+  return empty;
 }
 
 Result<bool> Ffs::DirIsWithin(InodeNum dir, InodeNum top) {
@@ -954,16 +952,22 @@ Result<InodeAttr> Ffs::Lookup(InodeNum dir, const std::string& name) {
   return GetAttr(found->second.inode);
 }
 
-Result<InodeAttr> Ffs::Create(InodeNum dir, const std::string& name,
-                              uint32_t mode) {
+Result<Ffs::DiskInode> Ffs::DirForNewName(InodeNum dir, const std::string& name,
+                                          const char* op) {
   ASSIGN_OR_RETURN(DiskInode dir_node, ReadInode(dir));
   if (dir_node.type != static_cast<uint8_t>(FileType::kDirectory)) {
-    return InvalidArgumentError("create in non-directory");
+    return InvalidArgumentError(std::string(op) + " in non-directory");
   }
   ASSIGN_OR_RETURN(auto existing, FindEntry(dir_node, name));
   if (existing.has_value()) {
     return AlreadyExistsError(name + " already exists");
   }
+  return dir_node;
+}
+
+Result<InodeAttr> Ffs::Create(InodeNum dir, const std::string& name,
+                              uint32_t mode) {
+  ASSIGN_OR_RETURN(DiskInode dir_node, DirForNewName(dir, name, "create"));
   ASSIGN_OR_RETURN(InodeNum inode, AllocInode(FileType::kRegular, mode));
   RETURN_IF_ERROR(AddEntry(dir, dir_node, name, inode, FileType::kRegular));
   return GetAttr(inode);
@@ -971,14 +975,7 @@ Result<InodeAttr> Ffs::Create(InodeNum dir, const std::string& name,
 
 Result<InodeAttr> Ffs::Mkdir(InodeNum dir, const std::string& name,
                              uint32_t mode) {
-  ASSIGN_OR_RETURN(DiskInode dir_node, ReadInode(dir));
-  if (dir_node.type != static_cast<uint8_t>(FileType::kDirectory)) {
-    return InvalidArgumentError("mkdir in non-directory");
-  }
-  ASSIGN_OR_RETURN(auto existing, FindEntry(dir_node, name));
-  if (existing.has_value()) {
-    return AlreadyExistsError(name + " already exists");
-  }
+  ASSIGN_OR_RETURN(DiskInode dir_node, DirForNewName(dir, name, "mkdir"));
   ASSIGN_OR_RETURN(InodeNum inode, AllocInode(FileType::kDirectory, mode));
   RETURN_IF_ERROR(AddEntry(dir, dir_node, name, inode, FileType::kDirectory));
   return GetAttr(inode);
@@ -986,14 +983,7 @@ Result<InodeAttr> Ffs::Mkdir(InodeNum dir, const std::string& name,
 
 Result<InodeAttr> Ffs::Symlink(InodeNum dir, const std::string& name,
                                const std::string& target) {
-  ASSIGN_OR_RETURN(DiskInode dir_node, ReadInode(dir));
-  if (dir_node.type != static_cast<uint8_t>(FileType::kDirectory)) {
-    return InvalidArgumentError("symlink in non-directory");
-  }
-  ASSIGN_OR_RETURN(auto existing, FindEntry(dir_node, name));
-  if (existing.has_value()) {
-    return AlreadyExistsError(name + " already exists");
-  }
+  ASSIGN_OR_RETURN(DiskInode dir_node, DirForNewName(dir, name, "symlink"));
   ASSIGN_OR_RETURN(InodeNum inode, AllocInode(FileType::kSymlink, 0777));
   ASSIGN_OR_RETURN(DiskInode node, ReadInode(inode));
   ASSIGN_OR_RETURN(
@@ -1101,8 +1091,9 @@ Status Ffs::Rename(InodeNum from_dir, const std::string& from_name,
   ASSIGN_OR_RETURN(auto dest, FindEntry(to_node, to_name));
   if (dest.has_value()) {
     if (dest->second.inode == source->second.inode) {
-      // Same object: just remove the old name.
-      RETURN_IF_ERROR(RemoveEntrySlot(from_node, source->first));
+      // Both names (or one name, renamed onto itself) already denote the
+      // same file: POSIX makes this a successful no-op. Dropping either
+      // name here would orphan the file or leave its nlink too high.
       return OkStatus();
     }
     if (dest->second.type == FileType::kDirectory) {
@@ -1140,7 +1131,33 @@ Result<size_t> Ffs::Read(InodeNum inode, uint64_t offset, size_t len,
   if (node.type != static_cast<uint8_t>(FileType::kRegular)) {
     return InvalidArgumentError("read from non-regular file");
   }
-  return ReadInternal(node, offset, len, out);
+  ASSIGN_OR_RETURN(size_t n, ReadInternal(node, offset, len, out));
+  if (n > 0) {
+    Readahead(inode, node, offset, offset + n);
+  }
+  return n;
+}
+
+void Ffs::Readahead(InodeNum inode, DiskInode& node, uint64_t offset,
+                    uint64_t end) {
+  uint64_t from = 0;
+  uint64_t to = 0;
+  if (!icache_->NoteRead(inode, offset, end, sb_->block_size, kReadaheadBlocks,
+                         &from, &to)) {
+    return;
+  }
+  std::vector<uint64_t> blocks;
+  bool dirty = false;
+  for (uint64_t fb = from; fb < to; ++fb) {
+    Result<uint64_t> block = BMap(node, fb, /*allocate=*/false, dirty);
+    if (!block.ok()) {
+      break;  // a hint only: the demand read already succeeded
+    }
+    if (*block != 0) {  // holes have nothing to fetch
+      blocks.push_back(*block);
+    }
+  }
+  cache_->Prefetch(blocks);
 }
 
 Result<size_t> Ffs::Write(InodeNum inode, uint64_t offset, const uint8_t* data,
@@ -1158,32 +1175,14 @@ Result<std::vector<DirEntry>> Ffs::ReadDir(InodeNum dir) {
     return InvalidArgumentError("readdir on non-directory");
   }
   std::vector<DirEntry> entries;
-  uint64_t slots = node.size / kDirEntrySize;
-  const uint32_t entries_per_block = sb_->block_size / kDirEntrySize;
-  std::vector<uint8_t> buf(sb_->block_size);
-  bool dirty = false;
-  for (uint64_t slot = 0; slot < slots; ++slot) {
-    if (slot % entries_per_block == 0) {
-      ASSIGN_OR_RETURN(uint64_t block,
-                       BMap(node, slot / entries_per_block, false, dirty));
-      if (block == 0) {
-        std::memset(buf.data(), 0, sb_->block_size);
-      } else {
-        RETURN_IF_ERROR(cache_->Read(block, buf.data()));
-      }
+  RETURN_IF_ERROR(ScanDir(node, [&entries](uint32_t, const uint8_t* e) {
+    if (uint32_t ino = LoadU32(e); ino != 0) {
+      std::string name(reinterpret_cast<const char*>(e + 6), e[5]);
+      DirEntry entry{std::move(name), ino, static_cast<FileType>(e[4])};
+      entries.push_back(std::move(entry));
     }
-    const uint8_t* e =
-        buf.data() + (slot % entries_per_block) * kDirEntrySize;
-    uint32_t ino = LoadU32(e);
-    if (ino == 0) {
-      continue;
-    }
-    DirEntry entry;
-    entry.inode = ino;
-    entry.type = static_cast<FileType>(e[4]);
-    entry.name.assign(reinterpret_cast<const char*>(e + 6), e[5]);
-    entries.push_back(std::move(entry));
-  }
+    return true;
+  }));
   return entries;
 }
 
@@ -1223,37 +1222,12 @@ Result<FsckReport> Ffs::Check() {
     }
   };
 
-  // Walk every block referenced by an inode's pointer trees.
-  auto walk_blocks = [&](InodeNum ino, const DiskInode& node) -> Status {
-    const uint64_t ppb = sb_->block_size / 4;
-    for (size_t i = 0; i < kDirectBlocks; ++i) {
-      claim_block(node.direct[i], ino);
-    }
-    std::vector<uint8_t> buf(sb_->block_size);
-    if (node.indirect != 0) {
-      claim_block(node.indirect, ino);
-      RETURN_IF_ERROR(cache_->Read(node.indirect, buf.data()));
-      for (uint64_t i = 0; i < ppb; ++i) {
-        claim_block(LoadU32(buf.data() + 4 * i), ino);
-      }
-    }
-    if (node.double_indirect != 0) {
-      claim_block(node.double_indirect, ino);
-      std::vector<uint8_t> outer(sb_->block_size);
-      RETURN_IF_ERROR(cache_->Read(node.double_indirect, outer.data()));
-      for (uint64_t i = 0; i < ppb; ++i) {
-        uint32_t l1 = LoadU32(outer.data() + 4 * i);
-        if (l1 == 0) {
-          continue;
-        }
-        claim_block(l1, ino);
-        RETURN_IF_ERROR(cache_->Read(l1, buf.data()));
-        for (uint64_t j = 0; j < ppb; ++j) {
-          claim_block(LoadU32(buf.data() + 4 * j), ino);
-        }
-      }
-    }
-    return OkStatus();
+  // Claim every block referenced by an inode's pointer trees.
+  auto walk_blocks = [&](InodeNum ino, const DiskInode& node) {
+    return ForEachBlock(node, [&](uint64_t block) {
+      claim_block(block, ino);
+      return OkStatus();
+    });
   };
 
   std::deque<InodeNum> queue{root_inode_};

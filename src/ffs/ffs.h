@@ -30,6 +30,10 @@
 // is sharded + write-through. Multi-block reads map the whole extent
 // first and fetch it through BlockCache::ReadBlocks, which fills its
 // misses in parallel. Check() requires a quiesced volume.
+//
+// Readahead policy lives here, per inode (a cursor in each inode-cache
+// entry); BlockCache::Prefetch only executes it. A Read that starts where
+// the previous read of that inode ended prefetches that file's next blocks.
 #ifndef DISCFS_SRC_FFS_FFS_H_
 #define DISCFS_SRC_FFS_FFS_H_
 
@@ -182,6 +186,9 @@ class Ffs {
   struct DiskInode;
   struct InodeCache;
 
+  // File blocks a sequential read keeps prefetched past its end.
+  static constexpr uint64_t kReadaheadBlocks = 8;
+
   Ffs(std::shared_ptr<BlockDevice> device, const FfsMountOptions& options);
 
   Status LoadSuperblock();
@@ -197,15 +204,28 @@ class Ffs {
   Status FreeBlock(uint64_t block);
 
   // Maps a file block index to a device block, optionally allocating the
-  // path (direct / indirect / double-indirect).
+  // path (direct / indirect / double-indirect). With `clear`, also zeroes
+  // the pointer to the block it returns.
   Result<uint64_t> BMap(DiskInode& node, uint64_t file_block, bool allocate,
-                        bool& dirty);
+                        bool& dirty, bool clear = false);
 
+  // Calls `fn` on every block `node` references: data blocks and the
+  // (double-)indirect blocks mapping them, each after the blocks it maps.
+  Status ForEachBlock(const DiskInode& node,
+                      const std::function<Status(uint64_t)>& fn);
   Status FreeAllBlocks(DiskInode& node);
   Status TruncateTo(InodeNum inode, DiskInode& node, uint64_t new_size);
 
+  // Calls `fn(slot, entry)` on each 64-byte directory slot in order (free
+  // slots included) until it returns false.
+  Status ScanDir(
+      const DiskInode& dir_node,
+      const std::function<bool(uint32_t slot, const uint8_t* entry)>& fn);
   Result<std::optional<std::pair<uint32_t, DirEntry>>> FindEntry(
       const DiskInode& dir_node, const std::string& name);
+  // Directory `dir`, checked fit for `op` to add `name` to it.
+  Result<DiskInode> DirForNewName(InodeNum dir, const std::string& name,
+                                  const char* op);
   Status AddEntry(InodeNum dir, DiskInode& dir_node, const std::string& name,
                   InodeNum target, FileType type);
   Status RemoveEntrySlot(DiskInode& dir_node, uint32_t slot);
@@ -215,6 +235,10 @@ class Ffs {
 
   Result<size_t> ReadInternal(DiskInode& node, uint64_t offset, size_t len,
                               uint8_t* out);
+  // After a Read of bytes [offset, end): maps and prefetches the blocks
+  // the inode's read cursor asks for.
+  void Readahead(InodeNum inode, DiskInode& node, uint64_t offset,
+                 uint64_t end);
   Result<size_t> WriteInternal(InodeNum inode, DiskInode& node,
                                uint64_t offset, const uint8_t* data,
                                size_t len);

@@ -43,7 +43,7 @@ Status NfsServer::RunHook(NfsProc proc, const NfsFh& fh, uint32_t needed,
 NfsServer::AllStripes NfsServer::LockAllStripes() {
   AllStripes locks;
   for (size_t i = 0; i < kInodeStripes; ++i) {
-    locks[i] = std::unique_lock<std::shared_mutex>(inode_stripes_[i]);
+    locks[i] = std::unique_lock<std::shared_mutex>(inode_stripes_[i].mu);
   }
   return locks;
 }
@@ -140,10 +140,10 @@ Status NfsServer::Remove(const NfsFh& dir, const std::string& name) {
                                target % kInodeStripes);
     const size_t hi = std::max(dir.inode % kInodeStripes,
                                target % kInodeStripes);
-    std::unique_lock<std::shared_mutex> first(inode_stripes_[lo]);
+    std::unique_lock<std::shared_mutex> first(inode_stripes_[lo].mu);
     std::unique_lock<std::shared_mutex> second;
     if (hi != lo) {
-      second = std::unique_lock<std::shared_mutex>(inode_stripes_[hi]);
+      second = std::unique_lock<std::shared_mutex>(inode_stripes_[hi].mu);
     }
     RETURN_IF_ERROR(CheckFh(dir).status());
     ASSIGN_OR_RETURN(InodeAttr attr, vfs_->Lookup(dir.inode, name));

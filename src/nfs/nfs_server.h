@@ -95,14 +95,19 @@ class NfsServer {
   // 32 stripes keep independent files apart, and few enough that a thread
   // holding all of them plus the storage layers' own locks stays inside
   // ThreadSanitizer's limit of 64 locks held at once.
+  // Each stripe has a cache line to itself: readers of neighbouring
+  // inodes must not bounce one line between cores.
   static constexpr size_t kInodeStripes = 32;
+  struct alignas(64) Stripe {
+    std::shared_mutex mu;
+  };
   using AllStripes =
       std::array<std::unique_lock<std::shared_mutex>, kInodeStripes>;
   std::shared_mutex& StripeFor(InodeNum inode) {
-    return inode_stripes_[inode % kInodeStripes];
+    return inode_stripes_[inode % kInodeStripes].mu;
   }
   AllStripes LockAllStripes();
-  std::array<std::shared_mutex, kInodeStripes> inode_stripes_;
+  std::array<Stripe, kInodeStripes> inode_stripes_;
 
   std::atomic<uint64_t> ops_served_{0};
 };

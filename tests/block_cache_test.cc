@@ -33,7 +33,6 @@ BlockCacheOptions ManualOptions(size_t capacity) {
   BlockCacheOptions opts;
   opts.capacity_blocks = capacity;
   opts.num_shards = 1;
-  opts.readahead_blocks = 0;
   opts.flusher_thread = false;
   return opts;
 }
@@ -137,40 +136,47 @@ TEST(BlockCacheTest, DropDirtyRestoresLastSyncImage) {
   EXPECT_EQ(buf, std::vector<uint8_t>(kBlockSize, 0));
 }
 
-TEST(BlockCacheTest, ReadaheadTriggersOnlyOnSequentialStreams) {
-  // Sequential scan: readahead fires and the prefetched blocks hit.
-  {
-    auto base = std::make_shared<MemBlockDevice>(kBlockSize, 256);
-    BlockCacheOptions opts;
-    opts.capacity_blocks = 64;
-    opts.readahead_blocks = 8;
-    opts.flusher_thread = false;
-    BlockCache cache(base, opts);
-
-    std::vector<uint8_t> buf(kBlockSize);
-    for (uint64_t b = 0; b < 32; ++b) {
-      ASSERT_TRUE(cache.Read(b, buf.data()).ok());
-    }
-    EXPECT_GT(cache.cache_stats().readaheads.load(), 0u);
-    EXPECT_GT(cache.cache_stats().hits.load(), 0u);
-    // Prefetch covered most of the scan: far fewer misses than blocks.
-    EXPECT_LT(cache.cache_stats().misses.load(), 8u);
+// Prefetch is the mechanism only (Ffs decides what to prefetch): it fills
+// absent blocks in the background, skips resident ones, and gives up
+// rather than evict a dirty block.
+TEST(BlockCacheTest, PrefetchFillsAbsentBlocksInBackground) {
+  auto base = std::make_shared<MemBlockDevice>(kBlockSize, 64);
+  for (uint64_t b = 0; b < 64; ++b) {
+    auto pattern = Pattern(b);
+    ASSERT_TRUE(base->Write(b, pattern.data()).ok());
   }
-  // Scattered reads: no stream forms, no readahead.
-  {
-    auto base = std::make_shared<MemBlockDevice>(kBlockSize, 256);
-    BlockCacheOptions opts;
-    opts.capacity_blocks = 64;
-    opts.readahead_blocks = 8;
-    opts.flusher_thread = false;
-    BlockCache cache(base, opts);
+  BlockCache cache(base, ManualOptions(8));
+  std::vector<uint8_t> buf(kBlockSize);
+  ASSERT_TRUE(cache.Read(3, buf.data()).ok());
 
-    std::vector<uint8_t> buf(kBlockSize);
-    for (uint64_t b : {0u, 17u, 3u, 90u, 45u, 200u, 7u, 121u}) {
-      ASSERT_TRUE(cache.Read(b, buf.data()).ok());
-    }
-    EXPECT_EQ(cache.cache_stats().readaheads.load(), 0u);
+  // Block 3 is resident and 99 is past the device: neither is fetched.
+  cache.Prefetch({3, 4, 5, 6, 99});
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (cache.cache_stats().readaheads.load() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ASSERT_EQ(cache.cache_stats().readaheads.load(), 3u);
+  EXPECT_EQ(base->stats().reads.load(), 4u);  // 3, then 4..6 once each
+  const uint64_t misses = cache.cache_stats().misses.load();
+  for (uint64_t b = 3; b <= 6; ++b) {
+    ASSERT_TRUE(cache.Read(b, buf.data()).ok());
+    EXPECT_EQ(buf, Pattern(b)) << "block " << b;
+  }
+  EXPECT_EQ(cache.cache_stats().misses.load(), misses);  // all hits
+
+  // A full shard of dirty blocks offers no clean victim: Prefetch claims
+  // nothing and returns without writing anything back.
+  for (uint64_t b = 10; b < 18; ++b) {
+    auto pattern = Pattern(b);
+    ASSERT_TRUE(cache.Write(b, pattern.data()).ok());
+  }
+  const uint64_t reads = base->stats().reads.load();
+  cache.Prefetch({40, 41});
+  EXPECT_EQ(cache.cached_blocks(), 8u);
+  EXPECT_EQ(base->stats().reads.load(), reads);
+  EXPECT_EQ(base->stats().writes.load(), 64u);  // only the setup writes
 }
 
 TEST(BlockCacheTest, ModifyIsAtomicAcrossThreads) {
@@ -221,13 +227,14 @@ TEST(BlockCacheTest, ConcurrentReadWriteStorm) {
   auto base = std::make_shared<MemBlockDevice>(kBlockSize, 1024);
   BlockCacheOptions opts;
   opts.capacity_blocks = 128;
-  opts.readahead_blocks = 8;
   opts.flush_watermark = 16;
   opts.flush_interval_ms = 5;
   BlockCache cache(base, opts);
 
   // Two writers stamp disjoint block ranges with their block's pattern
-  // (idempotent, so any write order converges); two readers scan.
+  // (idempotent, so any write order converges); two readers scan and
+  // prefetch ahead of themselves, racing fire-and-forget fills against
+  // the writers, the flusher and eviction.
   std::atomic<bool> failed{false};
   std::vector<std::thread> threads;
   for (int w = 0; w < 2; ++w) {
@@ -251,6 +258,9 @@ TEST(BlockCacheTest, ConcurrentReadWriteStorm) {
       for (int pass = 0; pass < 4; ++pass) {
         for (uint64_t b = static_cast<uint64_t>(r) * 512;
              b < static_cast<uint64_t>(r) * 512 + 512; ++b) {
+          if (b % 4 == 0) {
+            cache.Prefetch({b + 4, b + 5, b + 6, b + 7, b + 8});
+          }
           if (!cache.Read(b, buf.data()).ok()) {
             failed = true;
             return;
@@ -438,7 +448,6 @@ TEST(BlockCacheInFlight, ReadBlocksFillsAnExtentInParallel) {
   }
   BlockCacheOptions opts;
   opts.capacity_blocks = 64;
-  opts.readahead_blocks = 0;
   opts.flusher_thread = false;
   BlockCache cache(dev, opts);
   std::vector<uint8_t> buf(kBlockSize);

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <map>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/util/prng.h"
 
@@ -383,6 +391,50 @@ TEST(FfsTest, RenameDirectoryIntoOwnSubtreeRejected) {
       << report->errors.front();
 }
 
+// Renaming a name onto itself, or onto another hard link of the same file,
+// is a successful no-op (POSIX). Dropping the source name there would
+// orphan the file in the first case and leave nlink too high in the second.
+TEST(FfsTest, RenameOntoSameNameIsNoOp) {
+  auto fs = MakeFs();
+  auto a = fs->Create(fs->root(), "a", 0644);
+  ASSERT_TRUE(a.ok());
+  Bytes data = ToBytes("keep me");
+  ASSERT_TRUE(fs->Write(a->inode, 0, data.data(), data.size()).ok());
+
+  ASSERT_TRUE(fs->Rename(fs->root(), "a", fs->root(), "a").ok());
+  auto found = fs->Lookup(fs->root(), "a");
+  ASSERT_TRUE(found.ok()) << found.status();
+  EXPECT_EQ(found->inode, a->inode);
+  EXPECT_EQ(found->nlink, 1u);
+  Bytes back(data.size());
+  ASSERT_TRUE(fs->Read(a->inode, 0, back.size(), back.data()).ok());
+  EXPECT_EQ(back, data);
+
+  auto report = fs->Check();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->clean()) << report->errors.front();
+}
+
+TEST(FfsTest, RenameOntoHardLinkOfSameFileIsNoOp) {
+  auto fs = MakeFs();
+  auto a = fs->Create(fs->root(), "a", 0644);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(fs->Link(fs->root(), "b", a->inode).ok());
+
+  ASSERT_TRUE(fs->Rename(fs->root(), "a", fs->root(), "b").ok());
+  auto from = fs->Lookup(fs->root(), "a");
+  auto to = fs->Lookup(fs->root(), "b");
+  ASSERT_TRUE(from.ok()) << from.status();
+  ASSERT_TRUE(to.ok()) << to.status();
+  EXPECT_EQ(from->inode, a->inode);
+  EXPECT_EQ(to->inode, a->inode);
+  EXPECT_EQ(to->nlink, 2u);
+
+  auto report = fs->Check();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->clean()) << report->errors.front();
+}
+
 TEST(FfsTest, RenameMissingSourceFails) {
   auto fs = MakeFs();
   EXPECT_FALSE(fs->Rename(fs->root(), "nope", fs->root(), "x").ok());
@@ -536,6 +588,283 @@ TEST(FfsTest, FsckCleanAfterOperations) {
   EXPECT_TRUE(report->clean()) << report->errors.front();
   EXPECT_EQ(report->directories, 2u);  // root + d
   EXPECT_EQ(report->files, 1u);
+}
+
+// --- readahead: the policy is per file, in Ffs ---
+
+// Waits (bounded) until the cache has filled at least `n` prefetched
+// blocks; fills run on the cache's I/O pool.
+uint64_t WaitForReadaheads(const BlockCache& cache, uint64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (cache.cache_stats().readaheads.load() < n &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return cache.cache_stats().readaheads.load();
+}
+
+Bytes FilePattern(uint64_t seed, size_t size) {
+  Bytes data(size);
+  for (size_t i = 0; i < size; ++i) {
+    data[i] = static_cast<uint8_t>((seed * 131 + i / kBlockSize * 7 + i) &
+                                   0xFF);
+  }
+  return data;
+}
+
+// Only a read that starts where the previous read of the same inode ended
+// prefetches, and only that file's own mapped blocks: never past EOF
+// (into whatever the device holds next), never through a hole.
+TEST(FfsTest, ReadaheadTriggersOnlyOnSequentialStreams) {
+  constexpr size_t kFileBlocks = 32;
+  auto dev = std::make_shared<MemBlockDevice>(kBlockSize, 4096);
+  InodeNum a = 0;
+  InodeNum b = 0;
+  InodeNum holey = 0;
+  const Bytes a_data = FilePattern(1, kFileBlocks * kBlockSize);
+  const Bytes b_data = FilePattern(2, kFileBlocks * kBlockSize);
+  {
+    auto fs = Ffs::Format(dev, FfsFormatOptions{64});
+    ASSERT_TRUE(fs.ok()) << fs.status();
+    auto fa = (*fs)->Create((*fs)->root(), "a", 0644);
+    auto fb = (*fs)->Create((*fs)->root(), "b", 0644);
+    auto fh = (*fs)->Create((*fs)->root(), "holey", 0644);
+    ASSERT_TRUE(fa.ok() && fb.ok() && fh.ok());
+    a = fa->inode;
+    b = fb->inode;
+    holey = fh->inode;
+    ASSERT_TRUE((*fs)->Write(a, 0, a_data.data(), a_data.size()).ok());
+    ASSERT_TRUE((*fs)->Write(b, 0, b_data.data(), b_data.size()).ok());
+    // Blocks 0, 1 and 7 hold data; 2..6 are a hole.
+    Bytes block(kBlockSize, 0x11);
+    for (uint64_t fb_index : {0u, 1u, 7u}) {
+      auto wrote = (*fs)->Write(holey, fb_index * kBlockSize, block.data(),
+                                block.size());
+      ASSERT_TRUE(wrote.ok()) << wrote.status();
+    }
+    ASSERT_TRUE((*fs)->Sync().ok());
+  }
+  // Every case starts from a cold cache: a fresh mount of the volume.
+  auto cold = [&dev] {
+    auto fs = Ffs::Mount(dev);
+    EXPECT_TRUE(fs.ok()) << fs.status();
+    return std::move(fs).value();
+  };
+  auto read_block = [](Ffs& fs, InodeNum inode, uint64_t fb) {
+    Bytes buf(kBlockSize);
+    auto n = fs.Read(inode, fb * kBlockSize, buf.size(), buf.data());
+    EXPECT_TRUE(n.ok()) << n.status();
+    return buf;
+  };
+  auto block_of = [](const Bytes& data, uint64_t fb) {
+    return Bytes(data.begin() + fb * kBlockSize,
+                 data.begin() + (fb + 1) * kBlockSize);
+  };
+
+  // A sequential scan of a cold file prefetches the rest of the file, and
+  // the later reads hit: only the first two data blocks, the inode block,
+  // the indirect block and the superblock ever miss.
+  {
+    auto fs = cold();
+    BlockCache* cache = fs->block_cache();
+    for (uint64_t fb = 0; fb < kFileBlocks; ++fb) {
+      ASSERT_EQ(read_block(*fs, a, fb), block_of(a_data, fb)) << fb;
+    }
+    EXPECT_EQ(WaitForReadaheads(*cache, kFileBlocks - 2), kFileBlocks - 2);
+    EXPECT_LE(cache->cache_stats().misses.load(), 5u);
+    // No block was read from the device twice.
+    const uint64_t demand = cache->cache_stats().misses.load();
+    const uint64_t prefetched = cache->cache_stats().readaheads.load();
+    EXPECT_EQ(cache->stats().reads.load(), demand + prefetched);
+    // Nothing past a's EOF: b's first block (next on the device) is cold.
+    const uint64_t misses = cache->cache_stats().misses.load();
+    ASSERT_EQ(read_block(*fs, b, 0), block_of(b_data, 0));
+    EXPECT_GT(cache->cache_stats().misses.load(), misses);
+  }
+
+  // Random extents never start where the previous read ended: no stream,
+  // so the block after each extent is still cold. Whole-file re-reads
+  // prefetch nothing either.
+  {
+    auto fs = cold();
+    BlockCache* cache = fs->block_cache();
+    Bytes extent(4 * kBlockSize);
+    for (uint64_t first : {20u, 4u, 24u, 0u, 12u}) {
+      auto n = fs->Read(a, first * kBlockSize, extent.size(), extent.data());
+      ASSERT_TRUE(n.ok());
+      ASSERT_EQ(*n, extent.size());
+      EXPECT_TRUE(std::equal(extent.begin(), extent.end(),
+                             a_data.begin() + first * kBlockSize));
+    }
+    const uint64_t misses = cache->cache_stats().misses.load();
+    for (uint64_t fb : {8u, 16u, 28u}) {
+      ASSERT_EQ(read_block(*fs, a, fb), block_of(a_data, fb));
+    }
+    EXPECT_EQ(cache->cache_stats().misses.load(), misses + 3);
+
+    Bytes whole(b_data.size());
+    for (int pass = 0; pass < 2; ++pass) {
+      auto n = fs->Read(b, 0, whole.size(), whole.data());
+      ASSERT_TRUE(n.ok());
+      EXPECT_EQ(whole, b_data);
+    }
+    EXPECT_EQ(cache->cache_stats().readaheads.load(), 0u);
+  }
+
+  // Two files read in interleaved order each keep their own stream: after
+  // four blocks of each, both have a full window (blocks 2..9) prefetched,
+  // and their next data blocks hit. The only new misses allowed are the
+  // two files' indirect blocks, first mapped by the following window.
+  {
+    auto fs = cold();
+    BlockCache* cache = fs->block_cache();
+    for (uint64_t fb = 0; fb < 4; ++fb) {
+      ASSERT_EQ(read_block(*fs, a, fb), block_of(a_data, fb));
+      ASSERT_EQ(read_block(*fs, b, fb), block_of(b_data, fb));
+    }
+    EXPECT_EQ(WaitForReadaheads(*cache, 16), 16u);
+    const uint64_t misses = cache->cache_stats().misses.load();
+    for (uint64_t fb = 4; fb < 10; ++fb) {
+      ASSERT_EQ(read_block(*fs, a, fb), block_of(a_data, fb));
+      ASSERT_EQ(read_block(*fs, b, fb), block_of(b_data, fb));
+    }
+    EXPECT_LE(cache->cache_stats().misses.load(), misses + 2);
+  }
+
+  // A hole has no block to fetch: the window past block 1 covers 2..7,
+  // of which only block 7 is mapped, and block 7 is the last before EOF.
+  {
+    auto fs = cold();
+    BlockCache* cache = fs->block_cache();
+    const Bytes data(kBlockSize, 0x11);
+    ASSERT_EQ(read_block(*fs, holey, 0), data);
+    const size_t cached = cache->cached_blocks();
+    ASSERT_EQ(read_block(*fs, holey, 1), data);
+    // Block 1 by demand, block 7 by prefetch: nothing else was claimed.
+    EXPECT_EQ(cache->cached_blocks(), cached + 2);
+    EXPECT_EQ(WaitForReadaheads(*cache, 1), 1u);
+    const uint64_t misses = cache->cache_stats().misses.load();
+    for (uint64_t fb = 2; fb < 7; ++fb) {
+      EXPECT_EQ(read_block(*fs, holey, fb), Bytes(kBlockSize, 0)) << fb;
+    }
+    ASSERT_EQ(read_block(*fs, holey, 7), data);
+    EXPECT_EQ(cache->cache_stats().misses.load(), misses);
+    EXPECT_EQ(cache->cache_stats().readaheads.load(), 1u);
+  }
+}
+
+// Four threads stream their own files sequentially (readahead filling on
+// the I/O pool, a small cache evicting under them) while a fifth truncates
+// and rewrites another file. Every read is exact, every wait bounded, and
+// fsck is clean at the end.
+TEST(FfsConcurrency, SequentialReadersWhileAnotherFileIsRewritten) {
+  constexpr int kReaders = 4;
+  constexpr size_t kFileBytes = 48 * kBlockSize;
+  auto dev = std::make_shared<MemBlockDevice>(kBlockSize, 4096);
+  FfsFormatOptions format{256};
+  format.mount.cache.capacity_blocks = 96;
+  format.mount.cache.flush_interval_ms = 5;
+  auto formatted = Ffs::Format(dev, format);
+  ASSERT_TRUE(formatted.ok()) << formatted.status();
+  Ffs* fs = formatted->get();
+
+  std::vector<InodeNum> files;
+  std::vector<Bytes> contents;
+  for (int r = 0; r < kReaders; ++r) {
+    auto f = fs->Create(fs->root(), "seq" + std::to_string(r), 0644);
+    ASSERT_TRUE(f.ok());
+    contents.push_back(FilePattern(10 + r, kFileBytes));
+    ASSERT_TRUE(
+        fs->Write(f->inode, 0, contents.back().data(), kFileBytes).ok());
+    files.push_back(f->inode);
+  }
+  auto victim = fs->Create(fs->root(), "victim", 0644);
+  ASSERT_TRUE(victim.ok());
+
+  std::atomic<int> failures{0};
+  std::atomic<int> finished{0};
+  auto fail = [&failures](const std::string& what) {
+    ADD_FAILURE() << what;
+    failures.fetch_add(1);
+  };
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      // Alternate 4 KiB and 8 KiB reads so some streams take the extent
+      // path too.
+      const size_t step = (r % 2 == 0 ? 1 : 2) * kBlockSize;
+      Bytes buf(step);
+      for (int pass = 0; pass < 6 && failures.load() == 0; ++pass) {
+        for (uint64_t off = 0; off < kFileBytes; off += step) {
+          auto n = fs->Read(files[r], off, step, buf.data());
+          if (!n.ok() || *n != step ||
+              !std::equal(buf.begin(), buf.end(), contents[r].begin() + off)) {
+            fail("reader " + std::to_string(r) + " at " +
+                 std::to_string(off) + " was not exact");
+            break;
+          }
+        }
+      }
+      finished.fetch_add(1);
+    });
+  }
+  threads.emplace_back([&] {
+    for (int round = 0; round < 40 && failures.load() == 0; ++round) {
+      SetAttrRequest truncate;
+      truncate.size = 0;
+      if (!fs->SetAttr(victim->inode, truncate).ok()) {
+        fail("truncate victim");
+        break;
+      }
+      const Bytes data =
+          FilePattern(100 + round, (8 + round % 24) * kBlockSize);
+      auto wrote = fs->Write(victim->inode, 0, data.data(), data.size());
+      if (!wrote.ok() || *wrote != data.size()) {
+        fail("rewrite victim");
+        break;
+      }
+      Bytes back(data.size());
+      for (uint64_t off = 0; off < data.size(); off += kBlockSize) {
+        auto n = fs->Read(victim->inode, off, kBlockSize, back.data() + off);
+        if (!n.ok() || *n != kBlockSize) {
+          fail("read back victim");
+          break;
+        }
+      }
+      if (back != data) {
+        fail("victim round " + std::to_string(round) + " was not exact");
+        break;
+      }
+    }
+    finished.fetch_add(1);
+  });
+
+  // Bounded wait: a deadlock fails here instead of hanging the suite.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (finished.load() < static_cast<int>(threads.size()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (finished.load() < static_cast<int>(threads.size())) {
+    std::fprintf(stderr,
+                 "SequentialReadersWhileAnotherFileIsRewritten: %d of %zu "
+                 "threads stuck\n",
+                 static_cast<int>(threads.size()) - finished.load(),
+                 threads.size());
+    std::abort();  // a stuck thread cannot be joined
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_GT(fs->block_cache()->cache_stats().readaheads.load(), 0u);
+
+  ASSERT_TRUE(fs->Sync().ok());
+  auto report = fs->Check();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->clean()) << report->errors.front();
 }
 
 // Property test: random operation sequences against an in-memory model; the

@@ -182,6 +182,32 @@ TEST_F(NfsE2E, RenameDirectoryIntoOwnSubtreeRejectedOverWire) {
       << report->errors.front();
 }
 
+// A client with W on the directory renames a name onto itself and onto
+// another hard link of the same file: both are no-ops, and the volume
+// stays consistent (no orphaned inode, no stale link count).
+TEST_F(NfsE2E, RenameOntoSameFileIsNoOpOverWire) {
+  NfsFh root = Root();
+  auto f = client_->Create(root, "a", 0644);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(client_->Rename(root, "a", root, "a").ok());
+  ASSERT_TRUE(client_->Link(root, "b", f->fh).ok());
+  ASSERT_TRUE(client_->Rename(root, "a", root, "b").ok());
+
+  auto a = client_->Lookup(root, "a");
+  auto b = client_->Lookup(root, "b");
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(a->fh.inode, f->fh.inode);
+  EXPECT_EQ(b->fh.inode, f->fh.inode);
+  EXPECT_EQ(b->nlink, 2u);
+
+  auto report = vfs_->ffs()->Check();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->clean())
+      << report->errors.size() << " fsck errors, first: "
+      << report->errors.front();
+}
+
 TEST_F(NfsE2E, LinkOverWire) {
   NfsFh root = Root();
   auto f = client_->Create(root, "orig", 0644);

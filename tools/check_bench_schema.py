@@ -115,6 +115,7 @@ STORAGE_TOP_KEYS = {
 STORAGE_COLD_KEYS = {
     "seq_input_block_kb_s",
     "device_reads",
+    "readaheads",
     "fsck_clean",
 }
 STORAGE_CACHED_KEYS = {
@@ -122,7 +123,6 @@ STORAGE_CACHED_KEYS = {
     "seq_input_block_warm_kb_s",
     "seq_rewrite_kb_s",
     "rewrite_hit_rate",
-    "readaheads",
     "writebacks",
     "device_reads",
     "device_writes",
@@ -429,6 +429,11 @@ def check_storage(doc, errors):
         errors.append(
             "cold_latency.device_reads must be positive (a cold pass that "
             "never reads the device is not cold)"
+        )
+    if isinstance(cold, dict) and cold.get("readaheads", 0) <= 0:
+        errors.append(
+            "cold_latency.readaheads must be positive (per-file readahead "
+            "must fire on a cold sequential stream)"
         )
     if doc["warm_read_speedup"] < 3.0:
         errors.append(

@@ -8,8 +8,9 @@
 # store is written by publishers, receivers, and the maintenance thread,
 # the multiserver test and fault smoke exercise the whole stack
 # (including restart recovery) end-to-end over TCP, the storage data
-# plane (block cache write-back/readahead/flusher, NFS striped locking)
-# is hammered by block_cache_test and nfs_test, and the lockbox layer
+# plane (block cache write-back/prefetch/flusher, NFS striped locking,
+# Ffs's per-file readahead under concurrent truncate/rewrite) is hammered
+# by block_cache_test, ffs_test and nfs_test, and the lockbox layer
 # (sharded chunk store + per-handle sidecar stripes over the NFS entry
 # points) is exercised end-to-end by lockbox_test, and the observability
 # layer (sharded counters, scrape-time gauge callbacks, the RPC flight
@@ -33,7 +34,7 @@ command -v c++ >/dev/null 2>&1 || command -v g++ >/dev/null 2>&1 ||
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="$repo_root/build-tsan"
-test_regex="${1:-transport_test|rpc_pipeline_test|event_loop_test|discfs_multiserver_test|security_test|cluster_coherence_test|cluster_recovery_test|admission_test|fault_smoke|block_cache_test|nfs_test|lockbox_test|obs_test|overload_test}"
+test_regex="${1:-transport_test|rpc_pipeline_test|event_loop_test|discfs_multiserver_test|security_test|cluster_coherence_test|cluster_recovery_test|admission_test|fault_smoke|block_cache_test|ffs_test|nfs_test|lockbox_test|obs_test|overload_test}"
 
 cmake -B "$build_dir" -S "$repo_root" -DDISCFS_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -41,7 +42,7 @@ cmake --build "$build_dir" -j "$(nproc)" \
   --target transport_test rpc_pipeline_test event_loop_test \
   discfs_multiserver_test security_test cluster_coherence_test \
   cluster_recovery_test admission_test fault_harness \
-  block_cache_test nfs_test lockbox_test obs_test overload_test
+  block_cache_test ffs_test nfs_test lockbox_test obs_test overload_test
 
 cd "$build_dir"
 TSAN_OPTIONS="halt_on_error=1" ctest --output-on-failure -R "$test_regex"
