@@ -11,7 +11,8 @@
 // the benchmark files, keeping its delegation graph realistic rather than
 // degenerate.
 //
-// Phases (all rates derived from a closed-loop saturation measurement):
+// Phases (all rates derived from the median of three closed-loop
+// saturation measurements):
 //   1. Open-loop sweep at 0.5x / 1x / 2x saturation: fixed offered rate,
 //      latency measured from each request's *scheduled* send time (no
 //      coordinated omission), with a concurrent control-plane driver
@@ -39,6 +40,7 @@
 #include <cstdlib>
 #include <deque>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -69,6 +71,7 @@ constexpr uint32_t kReadBytes = 8192;
 constexpr double kPhaseSeconds = 2.5;
 constexpr double kSaturationSeconds = 1.5;
 constexpr size_t kSaturationInflight = 4;
+constexpr size_t kSaturationSamples = 3;
 constexpr uint32_t kLoadDeadlineMs = 2000;  // liveness bound, not a gate
 constexpr double kControlIntervalS = 0.02;  // 50 control-plane ops/s
 
@@ -904,9 +907,18 @@ int Run(int argc, char** argv) {
     }
   }
 
-  const double saturation = MeasureSaturation(clients, env.files);
-  std::printf("saturation (closed loop, %zu x %zu in flight): %.0f ops/s\n",
-              drivers, kSaturationInflight, saturation);
+  // One closed-loop sample is noisy enough on a shared VM to fail the 2x
+  // goodput gate by itself; the median of three sets every rate below.
+  double samples[kSaturationSamples];
+  for (double& sample : samples) {
+    sample = MeasureSaturation(clients, env.files);
+  }
+  std::sort(std::begin(samples), std::end(samples));
+  const double saturation = samples[kSaturationSamples / 2];
+  std::printf("saturation (closed loop, %zu x %zu in flight, median of "
+              "%.0f / %.0f / %.0f): %.0f ops/s\n",
+              drivers, kSaturationInflight, samples[0], samples[1], samples[2],
+              saturation);
 
   std::printf("%-9s %10s %10s %10s %10s %10s %10s %8s %8s\n", "offered",
               "sent", "ok", "shed", "goodput/s", "p50 ms", "p99 ms",

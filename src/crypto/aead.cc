@@ -2,58 +2,69 @@
 
 #include <cassert>
 
-#include "src/crypto/chacha20.h"
 #include "src/crypto/poly1305.h"
 
 namespace discfs {
 namespace {
 
-void AppendLE64(Bytes& out, uint64_t v) {
+// The RFC 8439 §2.8 tag: Poly1305 under the first 32 bytes of keystream
+// block 0, over aad ‖ pad16 ‖ ciphertext ‖ pad16 ‖ LE64(|aad|) ‖
+// LE64(|ciphertext|), fed straight from the caller's buffers.
+void ComputeTag(const ChaCha20& cipher, const uint8_t* aad, size_t aad_len,
+                const uint8_t* ciphertext, size_t len,
+                uint8_t tag[Aead::kTagSize]) {
+  static constexpr uint8_t kZeros[16] = {};
+  uint8_t block0[ChaCha20::kBlockSize];
+  cipher.KeystreamBlock(0, block0);
+  Poly1305 mac;
+  mac.Init(block0);
+  mac.Update(aad, aad_len);
+  mac.Update(kZeros, (16 - aad_len % 16) % 16);
+  mac.Update(ciphertext, len);
+  mac.Update(kZeros, (16 - len % 16) % 16);
+  uint8_t lengths[16];
   for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    lengths[i] = static_cast<uint8_t>(uint64_t{aad_len} >> (8 * i));
+    lengths[8 + i] = static_cast<uint8_t>(uint64_t{len} >> (8 * i));
   }
-}
-
-void PadTo16(Bytes& out, size_t len) {
-  size_t rem = len % 16;
-  if (rem != 0) {
-    out.insert(out.end(), 16 - rem, 0);
-  }
+  mac.Update(lengths, sizeof(lengths));
+  mac.Finish(tag);
 }
 
 }  // namespace
 
-Aead::Aead(Bytes key) : key_(std::move(key)) {
-  assert(key_.size() == kKeySize);
+Aead::Aead(const Bytes& key) : key_(ChaCha20::LoadKey(key.data())) {
+  assert(key.size() == kKeySize);
 }
 
-Bytes Aead::MacData(const Bytes& aad, const Bytes& ciphertext) const {
-  Bytes mac_data;
-  mac_data.reserve(aad.size() + ciphertext.size() + 48);
-  Append(mac_data, aad);
-  PadTo16(mac_data, aad.size());
-  Append(mac_data, ciphertext);
-  PadTo16(mac_data, ciphertext.size());
-  AppendLE64(mac_data, aad.size());
-  AppendLE64(mac_data, ciphertext.size());
-  return mac_data;
+void Aead::SealInto(const uint8_t nonce[kNonceSize], const uint8_t* aad,
+                    size_t aad_len, const uint8_t* in, size_t len,
+                    uint8_t* out, uint8_t tag[kTagSize]) const {
+  ChaCha20 cipher(key_, nonce, 1);
+  cipher.Crypt(in, out, len);
+  ComputeTag(cipher, aad, aad_len, out, len, tag);
+}
+
+Status Aead::OpenInto(const uint8_t nonce[kNonceSize], const uint8_t* aad,
+                      size_t aad_len, const uint8_t* in, size_t len,
+                      const uint8_t tag[kTagSize], uint8_t* out) const {
+  ChaCha20 cipher(key_, nonce, 1);
+  uint8_t expected[kTagSize];
+  ComputeTag(cipher, aad, aad_len, in, len, expected);
+  if (!ConstantTimeEqual(expected, tag, kTagSize)) {
+    return UnauthenticatedError("AEAD tag mismatch");
+  }
+  cipher.Crypt(in, out, len);
+  return OkStatus();
 }
 
 Bytes Aead::Seal(const Bytes& nonce, const Bytes& aad,
                  const Bytes& plaintext) const {
   assert(nonce.size() == kNonceSize);
-  // Poly1305 one-time key = first 32 bytes of block 0 keystream.
-  ChaCha20 block0(key_, nonce, 0);
-  uint8_t ks[ChaCha20::kBlockSize];
-  block0.KeystreamBlock(0, ks);
-  Bytes poly_key(ks, ks + 32);
-
-  ChaCha20 cipher(key_, nonce, 1);
-  Bytes ciphertext = cipher.Crypt(plaintext);
-
-  Bytes tag = Poly1305Tag(poly_key, MacData(aad, ciphertext));
-  Append(ciphertext, tag);
-  return ciphertext;
+  Bytes sealed(plaintext.size() + kTagSize);
+  SealInto(nonce.data(), aad.data(), aad.size(), plaintext.data(),
+           plaintext.size(), sealed.data(), sealed.data() + plaintext.size());
+  return sealed;
 }
 
 Result<Bytes> Aead::Open(const Bytes& nonce, const Bytes& aad,
@@ -62,21 +73,12 @@ Result<Bytes> Aead::Open(const Bytes& nonce, const Bytes& aad,
   if (ciphertext_and_tag.size() < kTagSize) {
     return UnauthenticatedError("AEAD record too short");
   }
-  Bytes ciphertext(ciphertext_and_tag.begin(),
-                   ciphertext_and_tag.end() - kTagSize);
-  Bytes tag(ciphertext_and_tag.end() - kTagSize, ciphertext_and_tag.end());
-
-  ChaCha20 block0(key_, nonce, 0);
-  uint8_t ks[ChaCha20::kBlockSize];
-  block0.KeystreamBlock(0, ks);
-  Bytes poly_key(ks, ks + 32);
-
-  Bytes expected = Poly1305Tag(poly_key, MacData(aad, ciphertext));
-  if (!ConstantTimeEqual(expected, tag)) {
-    return UnauthenticatedError("AEAD tag mismatch");
-  }
-  ChaCha20 cipher(key_, nonce, 1);
-  return cipher.Crypt(ciphertext);
+  const size_t len = ciphertext_and_tag.size() - kTagSize;
+  Bytes plaintext(len);
+  RETURN_IF_ERROR(OpenInto(nonce.data(), aad.data(), aad.size(),
+                           ciphertext_and_tag.data(), len,
+                           ciphertext_and_tag.data() + len, plaintext.data()));
+  return plaintext;
 }
 
 }  // namespace discfs

@@ -46,6 +46,9 @@ Result<Bytes> UnwrapKey(const DsaPrivateKey& recipient, const Bytes& wrapped) {
   if (!r.AtEnd()) {
     return InvalidArgumentError("trailing bytes after wrapped key");
   }
+  if (nonce.size() != Aead::kNonceSize) {
+    return InvalidArgumentError("wrapped key nonce is not 12 bytes");
+  }
   const DsaParams& params = recipient.public_key().params();
   DhKeyPair self = DhKeyPair::FromSecret(params, recipient.x());
   // SharedSecret rejects ephemeral values outside the order-q subgroup

@@ -10,21 +10,31 @@ Bytes GenerateContentKey(const std::function<Bytes(size_t)>& rand_bytes) {
 
 Bytes SealPayload(const Bytes& content_key, const Bytes& plaintext,
                   const std::function<Bytes(size_t)>& rand_bytes) {
+  // One buffer, nonce ‖ ciphertext ‖ tag, sealed straight into place.
   Aead aead(content_key);
-  Bytes nonce = rand_bytes(Aead::kNonceSize);
-  Bytes out = nonce;
-  Append(out, aead.Seal(nonce, /*aad=*/Bytes(), plaintext));
+  Bytes out = rand_bytes(Aead::kNonceSize);
+  const size_t len = plaintext.size();
+  out.resize(Aead::kNonceSize + len + Aead::kTagSize);
+  uint8_t* box = out.data() + Aead::kNonceSize;
+  aead.SealInto(out.data(), /*aad=*/nullptr, 0, plaintext.data(), len, box,
+                box + len);
   return out;
 }
 
 Result<Bytes> OpenPayload(const Bytes& content_key, const Bytes& sealed) {
+  if (content_key.size() != Aead::kKeySize) {
+    return InvalidArgumentError("content key is not 32 bytes");
+  }
   if (sealed.size() < Aead::kNonceSize + Aead::kTagSize) {
     return InvalidArgumentError("sealed payload shorter than nonce + tag");
   }
   Aead aead(content_key);
-  Bytes nonce(sealed.begin(), sealed.begin() + Aead::kNonceSize);
-  Bytes box(sealed.begin() + Aead::kNonceSize, sealed.end());
-  return aead.Open(nonce, /*aad=*/Bytes(), box);
+  const size_t len = sealed.size() - Aead::kNonceSize - Aead::kTagSize;
+  const uint8_t* box = sealed.data() + Aead::kNonceSize;
+  Bytes plaintext(len);
+  RETURN_IF_ERROR(aead.OpenInto(sealed.data(), /*aad=*/nullptr, 0, box, len,
+                                box + len, plaintext.data()));
+  return plaintext;
 }
 
 Result<NfsFh> LockboxService::BoxDir(bool create) {

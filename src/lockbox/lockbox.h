@@ -44,7 +44,8 @@ Bytes GenerateContentKey(const std::function<Bytes(size_t)>& rand_bytes);
 Bytes SealPayload(const Bytes& content_key, const Bytes& plaintext,
                   const std::function<Bytes(size_t)>& rand_bytes);
 
-// Inverse of SealPayload; UNAUTHENTICATED on any tampering.
+// Inverse of SealPayload; UNAUTHENTICATED on any tampering, INVALID_ARGUMENT
+// on a content key that is not Aead::kKeySize bytes.
 Result<Bytes> OpenPayload(const Bytes& content_key, const Bytes& sealed);
 
 // --- server-side storage ---

@@ -1,5 +1,7 @@
 #include "src/securechannel/channel.h"
 
+#include <cstring>
+
 #include "src/crypto/dh.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha.h"
@@ -9,8 +11,37 @@ namespace discfs {
 namespace {
 
 constexpr size_t kNonceLen = 16;
+
 constexpr char kKdfInfoClient[] = "discfs-channel-v1 client->server";
 constexpr char kKdfInfoServer[] = "discfs-channel-v1 server->client";
+
+// Record frame: BE64 seq ‖ BE32 body length ‖ body ‖ zero pad to 4, where
+// body = ciphertext ‖ tag. This is the XDR encoding of (u64, opaque).
+constexpr size_t kSeqSize = 8;
+constexpr size_t kRecordHeaderSize = kSeqSize + 4;
+constexpr size_t kMaxRecordBody = size_t{1} << 26;  // XdrReader's opaque cap
+
+size_t XdrPad(size_t n) { return (4 - n % 4) % 4; }
+
+void StoreBE32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    p[i] = static_cast<uint8_t>(v >> (24 - 8 * i));
+  }
+}
+
+void StoreBE64(uint8_t* p, uint64_t v) {
+  StoreBE32(p, static_cast<uint32_t>(v >> 32));
+  StoreBE32(p + 4, static_cast<uint32_t>(v));
+}
+
+uint32_t LoadBE32(const uint8_t* p) {
+  return (uint32_t{p[0]} << 24) | (uint32_t{p[1]} << 16) |
+         (uint32_t{p[2]} << 8) | uint32_t{p[3]};
+}
+
+uint64_t LoadBE64(const uint8_t* p) {
+  return (uint64_t{LoadBE32(p)} << 32) | LoadBE32(p + 4);
+}
 
 struct Hello {
   Bytes identity_key;  // serialized DsaPublicKey
@@ -84,12 +115,11 @@ SecureChannel::SecureChannel(std::unique_ptr<MsgStream> transport,
       recv_aead_(std::move(recv_key)),
       peer_key_(std::move(peer_key)) {}
 
-Bytes SecureChannel::BuildNonce(uint64_t seq) {
-  Bytes nonce(Aead::kNonceSize, 0);
+void SecureChannel::BuildNonce(uint64_t seq, uint8_t nonce[Aead::kNonceSize]) {
+  std::memset(nonce, 0, 4);
   for (int i = 0; i < 8; ++i) {
     nonce[4 + i] = static_cast<uint8_t>(seq >> (8 * i));
   }
-  return nonce;
 }
 
 Result<std::unique_ptr<SecureChannel>> SecureChannel::ClientHandshake(
@@ -229,14 +259,19 @@ Result<std::unique_ptr<SecureChannel>> ServerHandshakeMachine::Finish(
 
 Bytes SecureChannel::SealRecord(const Bytes& message) {
   ++send_seq_;
-  XdrWriter aad_writer;
-  aad_writer.PutU64(send_seq_);
-  Bytes aad = aad_writer.Take();
-  Bytes sealed = send_aead_.Seal(BuildNonce(send_seq_), aad, message);
-  XdrWriter w;
-  w.PutU64(send_seq_);
-  w.PutOpaque(sealed);
-  return w.Take();
+  // The whole frame is allocated once and the ciphertext and tag are
+  // written straight into it; its first 8 bytes (BE64 seq) are the AAD.
+  const size_t len = message.size();
+  const size_t body = len + Aead::kTagSize;
+  Bytes frame(kRecordHeaderSize + body + XdrPad(body));
+  StoreBE64(frame.data(), send_seq_);
+  StoreBE32(frame.data() + 8, static_cast<uint32_t>(body));
+  uint8_t nonce[Aead::kNonceSize];
+  BuildNonce(send_seq_, nonce);
+  uint8_t* ciphertext = frame.data() + kRecordHeaderSize;
+  send_aead_.SealInto(nonce, frame.data(), kSeqSize, message.data(), len,
+                      ciphertext, ciphertext + len);
+  return frame;
 }
 
 Status SecureChannel::Send(const Bytes& message) {
@@ -257,16 +292,38 @@ Result<bool> SecureChannel::FlushSend() {
 }
 
 Result<Bytes> SecureChannel::OpenRecord(const Bytes& frame) {
-  XdrReader r(frame);
-  ASSIGN_OR_RETURN(uint64_t seq, r.GetU64());
-  ASSIGN_OR_RETURN(Bytes sealed, r.GetOpaque());
-  if (!r.AtEnd()) {
+  // The header is parsed by hand, with the bounds an XDR u64 + opaque read
+  // enforces, before a byte of the body is touched.
+  if (frame.size() < kRecordHeaderSize) {
+    return DataLossError("record shorter than its header");
+  }
+  const uint64_t seq = LoadBE64(frame.data());
+  const size_t body = LoadBE32(frame.data() + 8);
+  if (body > kMaxRecordBody) {
+    return DataLossError("record body exceeds limit");
+  }
+  const size_t padded = body + XdrPad(body);
+  if (padded > frame.size() - kRecordHeaderSize) {
+    return DataLossError("record body runs past the frame");
+  }
+  if (kRecordHeaderSize + padded != frame.size()) {
     return DataLossError("trailing bytes in record");
   }
-  XdrWriter aad_writer;
-  aad_writer.PutU64(seq);
-  ASSIGN_OR_RETURN(Bytes plain,
-                   recv_aead_.Open(BuildNonce(seq), aad_writer.Take(), sealed));
+  for (size_t i = kRecordHeaderSize + body; i < frame.size(); ++i) {
+    if (frame[i] != 0) {
+      return DataLossError("nonzero record padding");
+    }
+  }
+  if (body < Aead::kTagSize) {
+    return UnauthenticatedError("AEAD record too short");
+  }
+  const size_t len = body - Aead::kTagSize;
+  uint8_t nonce[Aead::kNonceSize];
+  BuildNonce(seq, nonce);
+  const uint8_t* ciphertext = frame.data() + kRecordHeaderSize;
+  Bytes plain(len);
+  RETURN_IF_ERROR(recv_aead_.OpenInto(nonce, frame.data(), kSeqSize, ciphertext,
+                                      len, ciphertext + len, plain.data()));
   // Replay check happens after authentication so an attacker cannot poison
   // the window with forged sequence numbers.
   if (!recv_window_.CheckAndUpdate(seq)) {

@@ -18,8 +18,10 @@
 // where transcript_1 = ClientHello || ServerHello-body and transcript_2 =
 // transcript_1 || ServerHello-signature. Traffic keys come from
 // HKDF(salt = nonce_c || nonce_s, ikm = DH secret). Each direction has its
-// own key; record nonces encode the direction and a monotone sequence
-// number, which is also authenticated as AAD.
+// own key, which is what keeps the directions apart: record nonces are
+// 0^4 || LE64(seq) on both sides, for a monotone per-direction sequence
+// number that is also authenticated as AAD (BE64). See README.md for the
+// record's wire layout.
 #ifndef DISCFS_SRC_SECURECHANNEL_CHANNEL_H_
 #define DISCFS_SRC_SECURECHANNEL_CHANNEL_H_
 
@@ -82,11 +84,15 @@ class SecureChannel : public MsgStream {
 
  private:
   friend class ServerHandshakeMachine;
+  // Lets tests build channels over known traffic keys to pin the record
+  // layout and feed the record decoder hand-made frames.
+  friend class SecureChannelTestPeer;
 
   SecureChannel(std::unique_ptr<MsgStream> transport, Bytes send_key,
                 Bytes recv_key, DsaPublicKey peer_key);
 
-  static Bytes BuildNonce(uint64_t seq);
+  // Record nonce 0^4 ‖ LE64(seq), the same in both directions.
+  static void BuildNonce(uint64_t seq, uint8_t nonce[Aead::kNonceSize]);
   // Authenticates + replay-checks one wire record (recv_mu_ held).
   Result<Bytes> OpenRecord(const Bytes& frame);
   // Seals `message` into a wire record (send_mu_ held).

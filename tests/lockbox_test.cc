@@ -8,6 +8,7 @@
 #include <chrono>
 #include <set>
 
+#include "src/crypto/aead.h"
 #include "src/crypto/groups.h"
 #include "src/crypto/keywrap.h"
 #include "src/discfs/action_env.h"
@@ -18,6 +19,7 @@
 #include "src/lockbox/lockbox.h"
 #include "src/util/prng.h"
 #include "src/wire/lockbox.h"
+#include "src/wire/xdr.h"
 
 namespace discfs {
 namespace {
@@ -73,6 +75,57 @@ TEST(LockboxCrypto, SealOpenPayload) {
   bent.back() ^= 0x80;
   EXPECT_FALSE(OpenPayload(key, bent).ok());
   EXPECT_FALSE(OpenPayload(GenerateContentKey(TestRand(7)), sealed).ok());
+}
+
+TEST(KeyWrap, NonceOfTheWrongLengthIsRefused) {
+  // The blob's nonce is an XDR opaque, so its length comes off the wire;
+  // anything but 12 bytes is refused before the AEAD sees it.
+  DsaPrivateKey alice = DsaPrivateKey::Generate(Dsa512(), TestRand(1));
+  auto wrapped = WrapKey(alice.public_key(), Bytes(32, 9), TestRand(4));
+  ASSERT_TRUE(wrapped.ok()) << wrapped.status();
+  XdrReader r(*wrapped);
+  Bytes ephemeral = r.GetOpaque().value();
+  Bytes nonce = r.GetOpaque().value();
+  Bytes box = r.GetOpaque().value();
+  for (size_t len : {0u, 4u, 11u, 13u}) {
+    XdrWriter w;
+    w.PutOpaque(ephemeral);
+    Bytes bad_nonce = nonce;
+    bad_nonce.resize(len, 0);
+    w.PutOpaque(bad_nonce);
+    w.PutOpaque(box);
+    EXPECT_EQ(UnwrapKey(alice, w.Take()).status().code(),
+              StatusCode::kInvalidArgument)
+        << "nonce of " << len << " bytes";
+  }
+}
+
+TEST(LockboxCrypto, PayloadIsNonceThenAeadBox) {
+  // SealPayload seals in place; the bytes stay nonce || Aead::Seal.
+  Bytes key = GenerateContentKey(TestRand(5));
+  auto rand = TestRand(8);
+  Prng prng(8);
+  for (size_t len : {0u, 1u, 100u, 4096u, 5000u}) {
+    Bytes plaintext = prng.NextBytes(len);
+    Bytes sealed = SealPayload(key, plaintext, rand);
+    ASSERT_EQ(sealed.size(), Aead::kNonceSize + len + Aead::kTagSize);
+    Bytes nonce(sealed.begin(), sealed.begin() + Aead::kNonceSize);
+    Bytes box(sealed.begin() + Aead::kNonceSize, sealed.end());
+    EXPECT_EQ(box, Aead(key).Seal(nonce, Bytes(), plaintext)) << len;
+    auto opened = OpenPayload(key, sealed);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    EXPECT_EQ(*opened, plaintext);
+  }
+}
+
+TEST(LockboxCrypto, ContentKeyOfTheWrongLengthIsRefused) {
+  Bytes key = GenerateContentKey(TestRand(5));
+  Bytes sealed = SealPayload(key, ToBytes("payload"), TestRand(6));
+  for (size_t len : {0u, 16u, 31u, 33u}) {
+    EXPECT_EQ(OpenPayload(Bytes(len, 1), sealed).status().code(),
+              StatusCode::kInvalidArgument)
+        << "key of " << len << " bytes";
+  }
 }
 
 // --- wire codec ---
